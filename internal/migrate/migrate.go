@@ -7,30 +7,32 @@
 // The design targets the store's serving regime — millions of tracked
 // instances under concurrent evolve/check traffic:
 //
-//   - The population is iterated shard by shard through the Source
-//     interface. The engine never asks for a global view, so the owner
-//     of the instances (internal/store) only ever locks one shard at a
-//     time, briefly, to copy it out or to commit its migrations.
-//     Checks, evolutions and new instance recordings proceed
-//     concurrently with a sweep.
+//   - The unit of work is one shard of the population, swept by a
+//     ShardFunc the owner of the instances supplies (Engine.RunShards).
+//     The engine never asks for a global view, so the owner only ever
+//     locks one shard at a time. internal/store sweeps a shard in a
+//     single pass under that shard's lock — classify every record in
+//     place against immutable, pre-determinized per-schema checkers,
+//     journal the outcome, re-tag — while checks, evolutions and
+//     recordings proceed on the other shards.
 //   - Shards are fanned out over a bounded worker pool
-//     (Engine.Workers). Classification itself is lock-free — the
-//     Classifier is expected to close over immutable, pre-determinized
-//     per-schema checkers — so the sweep scales with the worker count
-//     until it saturates the machine.
+//     (Engine.Workers); shards are independent, so the sweep scales
+//     with the worker count until it saturates the machine.
 //   - Progress is tracked per shard in a Job: a shard's counters and
-//     stranded instances are folded in atomically when the shard
-//     completes, never partially. A canceled sweep therefore leaves
+//     stranded instances are folded in atomically once its ShardFunc
+//     returns nil, never partially. A canceled sweep therefore leaves
 //     the job in a consistent "k of n shards done" state, and a later
-//     Run resumes with exactly the shards that have not committed.
+//     run resumes with exactly the shards that have not committed.
 //   - Jobs are idempotent. Run on a Done job returns immediately
 //     without touching anything; re-running a completed sweep is a
 //     no-op by construction. Concurrent Run calls on one job do not
 //     double-sweep: one becomes the runner, the rest wait for it.
 //
-// The package is deliberately store-agnostic: Source and Classifier
-// are tiny interfaces, so the engine (and its tests) run against
-// synthetic populations as readily as against the live store.
+// The package is deliberately store-agnostic: Engine.Run adapts a
+// Source and a Classifier — tiny interfaces — to a ShardFunc, so the
+// engine (and its tests) run against synthetic populations as readily
+// as against the live store. Tally is the one place that counts a
+// shard's classifications, for the adapter and for the store alike.
 package migrate
 
 import (
@@ -99,14 +101,15 @@ type Item struct {
 	Ref   int
 }
 
-// Source abstracts the instance population the engine sweeps. Load and
+// Source abstracts the instance population Engine.Run sweeps. Load and
 // Commit are called at most once per shard per run, from at most one
 // worker at a time for a given shard; different shards are handled
 // concurrently.
 type Source interface {
 	// Shards returns the fixed shard count of the population.
 	Shards() int
-	// Load copies one shard's instances out.
+	// Load copies one shard's instances out. The engine owns the
+	// returned slice and filters it in place.
 	Load(ctx context.Context, shard int) ([]Item, error)
 	// Commit marks the migratable items of one shard as moved to the
 	// target version. It is called exactly once per completed shard,
@@ -133,6 +136,45 @@ func (c *Counts) add(o Counts) {
 	c.Migratable += o.Migratable
 	c.NonReplayable += o.NonReplayable
 	c.Unviable += o.Unviable
+}
+
+// pollEvery is how many instances Tally.Poll lets pass between two
+// context checks: a cancel still lands within microseconds, and the
+// per-instance loop stays free of it.
+const pollEvery = 32
+
+// Tally accumulates one shard's classification outcome — its counters
+// and its stranded instances — as a ShardFunc returns it.
+type Tally struct {
+	Counts
+	Stranded []Stranded
+}
+
+// Add counts one classified instance and reports whether it migrates.
+func (t *Tally) Add(party, id string, st instance.Status) bool {
+	t.Total++
+	switch st {
+	case instance.Migratable:
+		t.Migratable++
+		return true
+	case instance.NonReplayable:
+		t.NonReplayable++
+	case instance.Unviable:
+		t.Unviable++
+	default:
+		return false
+	}
+	t.Stranded = append(t.Stranded, Stranded{Party: party, ID: id, Status: st})
+	return false
+}
+
+// Poll returns ctx's error once every pollEvery counted instances (and
+// before the first); call it ahead of each Add.
+func (t *Tally) Poll(ctx context.Context) error {
+	if t.Total%pollEvery != 0 {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // View is a consistent copy of a job's observable state.
@@ -163,15 +205,6 @@ type Job struct {
 	// committed snapshot version instances are moved to.
 	Choreography  string
 	TargetVersion uint64
-
-	// Observer, when non-nil, is invoked right before each committed
-	// shard folds into the job — the store's journaling hook. An
-	// observer error aborts the fold and fails the shard sweep, so a
-	// shard counts as done only once its fold is durable; the retry
-	// re-sweeps it. It must be set before the first Run/RunAsync and is
-	// called without the job lock held, so it may take locks of its
-	// own; folds of different shards may invoke it concurrently.
-	Observer func(shard int, c Counts, stranded []Stranded) error
 
 	mu     sync.Mutex
 	status Status
@@ -384,27 +417,11 @@ func (j *Job) pending() []int {
 	return out
 }
 
-// shardDone folds one committed shard into the job, notifying the
-// Observer first (outside the job lock: the observer journals the
-// fold and must not be able to deadlock against readers of the job).
-// An observer failure skips the fold: the shard stays pending and the
-// resumed sweep revisits it, so "done" is never acked beyond what the
-// journal holds.
-func (j *Job) shardDone(shard int, c Counts, stranded []Stranded) error {
-	if j.Observer != nil {
-		if err := j.Observer(shard, c, stranded); err != nil {
-			return err
-		}
-	}
-	j.FoldShard(shard, c, stranded)
-	return nil
-}
-
 // FoldShard folds one committed shard's results into the job. It is
 // idempotent per shard — folding an already-committed shard is a
 // no-op — which is what lets crash recovery replay journaled folds
-// without double counting. Normal sweeps go through shardDone; call
-// FoldShard directly only when reconstructing a job.
+// without double counting, and lets a ShardFunc fold its own shard
+// ahead of the engine (see ShardFunc).
 func (j *Job) FoldShard(shard int, c Counts, stranded []Stranded) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -454,15 +471,39 @@ type Engine struct {
 	Workers int
 }
 
+// ShardFunc sweeps one shard of a job's population: it classifies the
+// shard's instances, commits the migratable ones, and returns the
+// shard's counters and stranded instances. The engine calls it at
+// most once per pending shard per run, from one worker at a time per
+// shard, and folds the result into the job only when it returns nil —
+// so nil must mean the shard's migrations are committed (and, for a
+// durable owner, journaled), and an error must mean nothing of the
+// shard was applied. A ShardFunc may fold its own result first
+// (Job.FoldShard is idempotent), e.g. to fold inside its owner's
+// critical section.
+type ShardFunc func(ctx context.Context, shard int) (Counts, []Stranded, error)
+
 // Run executes (or resumes) job over src: every shard not yet
-// committed is loaded, classified through classify, and committed. Run
-// returns when the sweep ends, and returns nil only when the job is
-// Done — otherwise the caller's context error (canceled mid-sweep,
-// job Canceled and resumable), ErrCanceled (stopped by Job.Cancel),
-// or the shard failure (job Failed, retryable). Running a Done job is
-// a no-op; when another Run is already sweeping the same job, this
-// call waits for that runner and reports the state it left.
+// committed is loaded, classified through classify, and committed. It
+// is RunShards over the adapter sourceShards.
 func (e *Engine) Run(ctx context.Context, job *Job, src Source, classify Classifier) error {
+	return e.RunShards(ctx, job, sourceShards(src, classify))
+}
+
+// RunAsync is RunShardsAsync over src and classify (see Run).
+func (e *Engine) RunAsync(job *Job, src Source, classify Classifier) {
+	e.RunShardsAsync(job, sourceShards(src, classify))
+}
+
+// RunShards executes (or resumes) job: sweep runs on every shard not
+// yet committed. RunShards returns when the sweep ends, and returns
+// nil only when the job is Done — otherwise the caller's context error
+// (canceled mid-sweep, job Canceled and resumable), ErrCanceled
+// (stopped by Job.Cancel), or the shard failure (job Failed,
+// retryable). Running a Done job is a no-op; when another runner is
+// already sweeping the same job, this call waits for it and reports
+// the state it left.
+func (e *Engine) RunShards(ctx context.Context, job *Job, sweep ShardFunc) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	run, wait := job.begin(cancel)
@@ -476,16 +517,16 @@ func (e *Engine) Run(ctx context.Context, job *Job, src Source, classify Classif
 		}
 		return job.outcome(ctx)
 	}
-	e.sweep(runCtx, job, src, classify)
+	e.sweep(runCtx, job, sweep)
 	return job.outcome(ctx)
 }
 
-// RunAsync claims the runner role synchronously — the job is
+// RunShardsAsync claims the runner role synchronously — the job is
 // observable as running, and cancelable, the moment it returns — and
 // executes the sweep in a new goroutine with its own lifetime
 // (stopped by Job.Cancel, not by any request context). A job that is
 // already done or being swept by another runner is left untouched.
-func (e *Engine) RunAsync(job *Job, src Source, classify Classifier) {
+func (e *Engine) RunShardsAsync(job *Job, sweep ShardFunc) {
 	runCtx, cancel := context.WithCancel(context.Background())
 	run, _ := job.begin(cancel)
 	if !run {
@@ -494,11 +535,11 @@ func (e *Engine) RunAsync(job *Job, src Source, classify Classifier) {
 	}
 	go func() {
 		defer cancel()
-		e.sweep(runCtx, job, src, classify)
+		e.sweep(runCtx, job, sweep)
 	}()
 }
 
-// outcome translates the job's settled state into Run's error
+// outcome translates the job's settled state into RunShards' error
 // contract: nil iff Done.
 func (j *Job) outcome(ctx context.Context) error {
 	switch v := j.Snapshot(); v.Status {
@@ -520,9 +561,10 @@ func (j *Job) outcome(ctx context.Context) error {
 	}
 }
 
-// sweep fans the job's pending shards over the worker pool and
-// settles the job's terminal state; the caller holds the runner role.
-func (e *Engine) sweep(runCtx context.Context, job *Job, src Source, classify Classifier) {
+// sweep fans the job's pending shards over the worker pool, folding
+// each shard whose ShardFunc succeeds, and settles the job's terminal
+// state; the caller holds the runner role.
+func (e *Engine) sweep(runCtx context.Context, job *Job, sweepShard ShardFunc) {
 	pending := job.pending()
 	workers := e.Workers
 	if workers <= 0 {
@@ -547,12 +589,14 @@ func (e *Engine) sweep(runCtx context.Context, job *Job, src Source, classify Cl
 		go func() {
 			defer wg.Done()
 			for shard := range shards {
-				if err := e.sweepShard(runCtx, job, src, classify, shard); err != nil {
+				c, stranded, err := sweepShard(runCtx, shard)
+				if err != nil {
 					if runCtx.Err() == nil {
 						fail(err)
 					}
 					return
 				}
+				job.FoldShard(shard, c, stranded)
 			}
 		}()
 	}
@@ -570,48 +614,36 @@ feed:
 	job.finish(swept, runCtx.Err() != nil && swept == nil)
 }
 
-// sweepShard classifies one shard and commits it. A shard is folded
-// into the job only after its commit succeeded, so cancellation
-// between any two steps leaves the checkpoint exact.
-func (e *Engine) sweepShard(ctx context.Context, job *Job, src Source, classify Classifier, shard int) error {
-	items, err := src.Load(ctx, shard)
-	if err != nil {
-		return fmt.Errorf("migrate: loading shard %d: %w", shard, err)
-	}
-	var (
-		c        Counts
-		migrated []Item
-		stranded []Stranded
-	)
-	for _, it := range items {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st, err := classify(it.Party, it.Inst)
+// sourceShards adapts a Source and a Classifier to a ShardFunc: load
+// the shard, classify every item, commit the migratable ones. The
+// Commit comes last, so a shard canceled or failed before it commits
+// nothing.
+func sourceShards(src Source, classify Classifier) ShardFunc {
+	return func(ctx context.Context, shard int) (Counts, []Stranded, error) {
+		items, err := src.Load(ctx, shard)
 		if err != nil {
-			return fmt.Errorf("migrate: classifying %s/%s: %w", it.Party, it.Inst.ID, err)
+			return Counts{}, nil, fmt.Errorf("migrate: loading shard %d: %w", shard, err)
 		}
-		c.Total++
-		switch st {
-		case instance.Migratable:
-			c.Migratable++
-			migrated = append(migrated, it)
-		case instance.NonReplayable:
-			c.NonReplayable++
-			stranded = append(stranded, Stranded{Party: it.Party, ID: it.Inst.ID, Status: st})
-		case instance.Unviable:
-			c.Unviable++
-			stranded = append(stranded, Stranded{Party: it.Party, ID: it.Inst.ID, Status: st})
+		var t Tally
+		migrated := items[:0]
+		for _, it := range items {
+			if err := t.Poll(ctx); err != nil {
+				return Counts{}, nil, err
+			}
+			st, err := classify(it.Party, it.Inst)
+			if err != nil {
+				return Counts{}, nil, fmt.Errorf("migrate: classifying %s/%s: %w", it.Party, it.Inst.ID, err)
+			}
+			if t.Add(it.Party, it.Inst.ID, st) {
+				migrated = append(migrated, it)
+			}
 		}
+		if err := ctx.Err(); err != nil {
+			return Counts{}, nil, err
+		}
+		if err := src.Commit(ctx, shard, migrated); err != nil {
+			return Counts{}, nil, fmt.Errorf("migrate: committing shard %d: %w", shard, err)
+		}
+		return t.Counts, t.Stranded, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := src.Commit(ctx, shard, migrated); err != nil {
-		return fmt.Errorf("migrate: committing shard %d: %w", shard, err)
-	}
-	if err := job.shardDone(shard, c, stranded); err != nil {
-		return fmt.Errorf("migrate: journaling shard %d fold: %w", shard, err)
-	}
-	return nil
 }

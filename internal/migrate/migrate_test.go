@@ -350,3 +350,68 @@ func TestRunAsyncClaimsSynchronously(t *testing.T) {
 		t.Fatalf("after async resume: %+v err=%v, want done with %+v", v, err, want)
 	}
 }
+
+// TestRunShardsFoldsOnlyOnSuccess drives the per-shard entry point
+// directly: a shard whose function fails is not folded, and the retry
+// sweeps exactly the shards still pending.
+func TestRunShardsFoldsOnlyOnSuccess(t *testing.T) {
+	job := NewJob("j", "c", 1, 4)
+	var mu sync.Mutex
+	calls := make([]int, 4)
+	failShard := 2
+	sweep := func(_ context.Context, shard int) (Counts, []Stranded, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[shard]++
+		if shard == failShard {
+			return Counts{}, nil, errors.New("append failed")
+		}
+		return Counts{Total: 2, Migratable: 1, Unviable: 1},
+			[]Stranded{{Party: "P", ID: fmt.Sprintf("s%d", shard), Status: instance.Unviable}}, nil
+	}
+	eng := &Engine{Workers: 1}
+	if err := eng.RunShards(context.Background(), job, sweep); err == nil {
+		t.Fatal("RunShards with a failing shard succeeded")
+	}
+	if v := job.Snapshot(); v.Status != StatusFailed || v.ShardsDone != 2 || v.Total != 4 {
+		t.Fatalf("after the failure: %+v, want failed with shards 0 and 1 folded", v)
+	}
+	failShard = -1
+	if err := eng.RunShards(context.Background(), job, sweep); err != nil {
+		t.Fatal(err)
+	}
+	v, stranded := job.Report()
+	if v.Status != StatusDone || v.Counts != (Counts{Total: 8, Migratable: 4, Unviable: 4}) || len(stranded) != 4 {
+		t.Fatalf("after the retry: %+v with %d stranded, want done with 8 counted and 4 stranded", v, len(stranded))
+	}
+	if fmt.Sprint(calls) != "[1 1 2 1]" {
+		t.Fatalf("shard calls = %v, want only the failed shard swept twice", calls)
+	}
+}
+
+// TestTally pins the shared counting: migratable instances count and
+// report true, stranded ones land in the report, and Poll consults
+// the context once every pollEvery instances.
+func TestTally(t *testing.T) {
+	var tally Tally
+	for i, st := range []instance.Status{instance.Migratable, instance.NonReplayable, instance.Unviable, instance.Migratable} {
+		if got := tally.Add("P", fmt.Sprint(i), st); got != (st == instance.Migratable) {
+			t.Fatalf("Add(%v) = %v", st, got)
+		}
+	}
+	if tally.Counts != (Counts{Total: 4, Migratable: 2, NonReplayable: 1, Unviable: 1}) || len(tally.Stranded) != 2 {
+		t.Fatalf("tally = %+v", tally)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tally, polled := Tally{}, 0
+	for i := 0; i < 2*pollEvery; i++ {
+		if tally.Poll(canceled) != nil {
+			polled++
+		}
+		tally.Add("P", "x", instance.Migratable)
+	}
+	if polled != 2 {
+		t.Fatalf("Poll consulted the context %d times over %d instances, want 2", polled, 2*pollEvery)
+	}
+}

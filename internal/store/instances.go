@@ -52,7 +52,7 @@ type instRecord struct {
 
 // instShard is one lockable slice of a choreography's instances,
 // grouped by party. Slices are append-only: a record's (party, index)
-// position never changes, which is what migrate.Item.Ref relies on.
+// position never changes, which is what journaled tag advances rely on.
 type instShard struct {
 	//choreolint:hotlock
 	mu   sync.Mutex
@@ -248,65 +248,75 @@ func (s *Store) Migrate(ctx context.Context, id, party string, candidate *afsa.A
 // terminal jobs are evicted first (running jobs are never evicted).
 const maxMigrationJobs = 256
 
-// instanceSource adapts one entry's instance shards to the engine's
-// Source interface, tagging committed migrations with target (and
-// journaling the tag advances when st is durable).
-type instanceSource struct {
-	st     *Store
-	e      *entry
-	target uint64
-}
-
-func (src *instanceSource) Shards() int { return instShardCount }
-
-func (src *instanceSource) Load(ctx context.Context, shard int) ([]migrate.Item, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+// sweepShard is the store's migrate.ShardFunc: it sweeps one instance
+// shard toward snap for job in a single pass under the shard lock.
+// Every record is classified in place against snap's memoized
+// compliance checkers; the shard's outcome — the schema-tag advances
+// as runs of refs, plus the job fold — is journaled as one migShard
+// record; only then do the tags advance and the shard fold into job.
+// Nothing is copied out of the shard, and a failed append applies and
+// folds nothing: the job fails retryably with the shard still pending.
+//
+// Lock order is applyIngest's minus the append lock (a sweep records
+// no instances): persistMu.RLock, then the shard lock. The fold
+// happens inside both, so a checkpoint sees a shard's record and its
+// fold together or neither.
+func (s *Store) sweepShard(ctx context.Context, e *entry, snap *Snapshot, job *migrate.Job, shard int) (migrate.Counts, []migrate.Stranded, error) {
+	// Build the checkers before taking any lock, as applyIngest's
+	// prefetch does: the first sweep after a commit pays the
+	// determinization here, not inside the shard critical section.
+	for _, party := range snap.order {
+		if _, err := snap.parties[party].complianceChecker(); err != nil {
+			return migrate.Counts{}, nil, err
+		}
 	}
-	sh := &src.e.inst[shard]
+	unlock := s.persistRLock()
+	defer unlock()
+	sh := &e.inst[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var out []migrate.Item
-	parties := make([]string, 0, len(sh.recs))
 	for party := range sh.recs {
-		parties = append(parties, party)
-	}
-	sort.Strings(parties)
-	for _, party := range parties {
-		for i, rec := range sh.recs[party] {
-			out = append(out, migrate.Item{Party: party, Inst: rec.inst, Ref: i})
+		if _, ok := snap.parties[party]; !ok {
+			return migrate.Counts{}, nil, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, party, e.id)
 		}
 	}
-	return out, nil
-}
 
-func (src *instanceSource) Commit(ctx context.Context, shard int, migrated []migrate.Item) error {
+	var t migrate.Tally
+	rec := recMigShard{Job: job.ID, Shard: shard, ID: e.id, Target: snap.Version}
+	for _, party := range snap.order {
+		recs := sh.recs[party]
+		if len(recs) == 0 {
+			continue
+		}
+		chk, _ := snap.parties[party].complianceChecker() // memoized above
+		tags := tagRuns{Party: party}
+		for ref, r := range recs {
+			if err := t.Poll(ctx); err != nil {
+				return migrate.Counts{}, nil, err
+			}
+			// Tags only ever advance: a slow sweep toward an older
+			// snapshot leaves records a newer sweep (or a post-commit
+			// recording) already moved past its target alone.
+			if t.Add(party, r.inst.ID, chk.Check(r.inst)) && r.schema < snap.Version {
+				tags.add(ref)
+			}
+		}
+		if len(tags.Runs) > 0 {
+			rec.Tags = append(rec.Tags, tags)
+		}
+	}
 	if err := ctxErr(ctx); err != nil {
-		return err
+		return migrate.Counts{}, nil, err
 	}
-	if src.st.jnl != nil {
-		rec := recMigTags{ID: src.e.id, Target: src.target, Shard: shard, Refs: make([]tagRef, 0, len(migrated))}
-		for _, it := range migrated {
-			rec.Refs = append(rec.Refs, tagRef{Party: it.Party, Ref: it.Ref})
-		}
-		unlock := src.st.persistRLock()
-		defer unlock()
-		if err := src.st.appendWAL(&walRecord{MigTags: &rec}); err != nil {
-			return err
-		}
+	rec.Counts, rec.Stranded = t.Counts, t.Stranded
+	if err := s.appendWAL(&walRecord{MigShard: &rec}); err != nil {
+		return migrate.Counts{}, nil, err
 	}
-	sh := &src.e.inst[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, it := range migrated {
-		// Tags only ever advance: a slow sweep targeting an older
-		// snapshot must not downgrade records a newer sweep (or a
-		// post-commit recording) already moved past its target.
-		if rec := sh.recs[it.Party][it.Ref]; rec.schema < src.target {
-			rec.schema = src.target
-		}
+	if err := rec.advanceTags(sh); err != nil {
+		return migrate.Counts{}, nil, err // unreachable: the runs were built from sh
 	}
-	return nil
+	job.FoldShard(shard, t.Counts, t.Stranded)
+	return t.Counts, t.Stranded, nil
 }
 
 // migrationJobID derives the deterministic job identity of "sweep
@@ -318,10 +328,10 @@ func migrationJobID(id string, version uint64) string {
 
 // prepareMigration resolves or creates the job for sweeping id's
 // instances to its current snapshot, plus the engine inputs.
-func (s *Store) prepareMigration(id string, workers int) (*migrate.Job, *migrate.Engine, *instanceSource, migrate.Classifier, error) {
+func (s *Store) prepareMigration(id string, workers int) (*migrate.Job, *migrate.Engine, migrate.ShardFunc, error) {
 	e, err := s.entry(id)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	snap := e.snap.Load()
 	jobID := migrationJobID(id, snap.Version)
@@ -334,10 +344,9 @@ func (s *Store) prepareMigration(id string, workers int) (*migrate.Job, *migrate
 		}}); err != nil {
 			s.migMu.Unlock()
 			unlock()
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		job = migrate.NewJob(jobID, id, snap.Version, instShardCount)
-		job.Observer = s.shardObserver(jobID)
 		s.migs[jobID] = job
 		s.migOrder = append(s.migOrder, jobID)
 		s.evictMigrationJobsLocked()
@@ -345,23 +354,14 @@ func (s *Store) prepareMigration(id string, workers int) (*migrate.Job, *migrate
 	s.migMu.Unlock()
 	unlock()
 
-	// The classifier closes over the snapshot the job targets: party
-	// states are immutable, so the memoized compliance checkers
-	// (determinized automaton + viable set, built once per party
-	// version) are shared by every worker and every resume.
-	classify := func(party string, inst instance.Instance) (instance.Status, error) {
-		ps, ok := snap.parties[party]
-		if !ok {
-			return instance.NonReplayable, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, party, id)
-		}
-		chk, err := ps.complianceChecker()
-		if err != nil {
-			return instance.NonReplayable, err
-		}
-		return chk.Check(inst), nil
+	// The sweep closes over the snapshot the job targets: party states
+	// are immutable, so the memoized compliance checkers (determinized
+	// automaton + viable set, built once per party version) are shared
+	// by every worker and every resume.
+	sweep := func(ctx context.Context, shard int) (migrate.Counts, []migrate.Stranded, error) {
+		return s.sweepShard(ctx, e, snap, job, shard)
 	}
-	eng := &migrate.Engine{Workers: workers}
-	return job, eng, &instanceSource{st: s, e: e, target: snap.Version}, classify, nil
+	return job, &migrate.Engine{Workers: workers}, sweep, nil
 }
 
 // evictMigrationJobsLocked drops the oldest terminal jobs past the
@@ -387,8 +387,8 @@ func (s *Store) evictMigrationJobsLocked() {
 // all parties — through migratability classification against the
 // current committed snapshot, moving migratable instances to it and
 // reporting the stranded ones. The sweep runs on a bounded pool of
-// workers over the instance shards; no choreography-wide lock is held
-// at any point.
+// workers over the instance shards, one shard lock at a time (see
+// sweepShard); no choreography-wide lock is held at any point.
 //
 // The job is idempotent and resumable: its identity is
 // (choreography, snapshot version), calling MigrateAll again for a
@@ -402,11 +402,11 @@ func (s *Store) MigrateAll(ctx context.Context, id string, workers int) (*migrat
 		return nil, err
 	}
 	defer release()
-	job, eng, src, classify, err := s.prepareMigration(id, workers)
+	job, eng, sweep, err := s.prepareMigration(id, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Run(ctx, job, src, classify); err != nil {
+	if err := eng.RunShards(ctx, job, sweep); err != nil {
 		return job, fmt.Errorf("store: migration %s: %w", job.ID, err)
 	}
 	return job, nil
@@ -429,11 +429,11 @@ func (s *Store) StartMigration(ctx context.Context, id string, workers int) (*mi
 		return nil, err
 	}
 	defer release()
-	job, eng, src, classify, err := s.prepareMigration(id, workers)
+	job, eng, sweep, err := s.prepareMigration(id, workers)
 	if err != nil {
 		return nil, err
 	}
-	eng.RunAsync(job, src, classify)
+	eng.RunShardsAsync(job, sweep)
 	return job, nil
 }
 

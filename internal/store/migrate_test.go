@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bpel"
 	"repro/internal/change"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/instance"
 	"repro/internal/migrate"
@@ -25,6 +27,33 @@ func migrationStore(t *testing.T) (*Store, string) {
 			t.Fatal(err)
 		}
 	}
+	commitTrackingLimit(t, s, id)
+	return s, id
+}
+
+// recordPaperPopulation creates the paper scenario as choreography id
+// in s and records perParty sampled instances (traces of up to maxLen
+// messages) for each party under its first version.
+func recordPaperPopulation(t *testing.T, s *Store, id string, perParty, maxLen int) {
+	t.Helper()
+	if err := s.Create(ctx, id, paperSyncOps); err != nil {
+		t.Fatal(err)
+	}
+	procs := []*bpel.Process{paperrepro.BuyerProcess(), paperrepro.AccountingProcess(), paperrepro.LogisticsProcess()}
+	if _, err := s.PutParties(ctx, id, procs, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, party := range []string{paperrepro.Buyer, paperrepro.Accounting, paperrepro.Logistics} {
+		if _, err := s.SampleInstances(ctx, id, party, int64(100+i), perParty, maxLen); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// commitTrackingLimit evolves the accounting party with the paper's
+// tracking limit change and commits it.
+func commitTrackingLimit(t *testing.T, s *Store, id string) {
+	t.Helper()
 	evo, err := s.Evolve(ctx, id, paperrepro.Accounting, paperrepro.TrackingLimitChange())
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +61,6 @@ func migrationStore(t *testing.T) (*Store, string) {
 	if _, err := s.CommitEvolution(ctx, evo); err != nil {
 		t.Fatal(err)
 	}
-	return s, id
 }
 
 type strandedKey struct {
@@ -282,8 +310,8 @@ func (s *Store) dropMigrationJob(jobID string) {
 
 // BenchmarkMigrateAll sweeps a 10k-instance population; the sub-
 // benchmarks vary the worker count, and on multi-core hardware the
-// sweep time shrinks accordingly (the per-shard work is lock-free
-// classification against shared immutable checkers).
+// sweep time shrinks accordingly (shards are independent: each is
+// classified under its own lock against shared immutable checkers).
 func BenchmarkMigrateAll(b *testing.B) {
 	s := genStore(b, 1, benchParams)
 	id := genID(0)
@@ -319,32 +347,37 @@ func BenchmarkMigrateAll(b *testing.B) {
 // snapshot must not move records backward past the version a newer
 // sweep (or a post-commit recording) already tagged them with.
 func TestCommitNeverDowngradesSchema(t *testing.T) {
-	s, id := migrationStore(t)
-	if _, err := s.MigrateAll(ctx, id, 2); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := s.Snapshot(ctx, id)
-	if err != nil {
-		t.Fatal(err)
+	s, id := paperStore(t)
+	for i, party := range []string{paperrepro.Buyer, paperrepro.Accounting, paperrepro.Logistics} {
+		if _, err := s.SampleInstances(ctx, id, party, int64(100+i), 40, 12); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e, err := s.entry(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A stale source, as held by a sweep started before the last
-	// commit, re-commits every instance of every shard.
-	stale := &instanceSource{st: s, e: e, target: snap.Version - 1}
-	for shard := 0; shard < stale.Shards(); shard++ {
-		items, err := stale.Load(ctx, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stale.Commit(ctx, shard, items); err != nil {
+	stale := e.snap.Load()
+	commitTrackingLimit(t, s, id)
+	job, err := s.MigrateAll(ctx, id, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.snap.Load()
+	// A stale sweep, as run by a job started before the last commit,
+	// sweeps every shard toward the old snapshot — under which every
+	// sampled instance is migratable.
+	staleJob := migrate.NewJob(migrationJobID(id, stale.Version), id, stale.Version, instShardCount)
+	for shard := 0; shard < instShardCount; shard++ {
+		if _, _, err := s.sweepShard(ctx, e, stale, staleJob, shard); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if v := staleJob.Snapshot(); v.Migratable != v.Total || v.ShardsDone != instShardCount {
+		t.Fatalf("stale sweep = %+v, want every instance migratable and every shard done", v)
+	}
 	moved := 0
-	for _, party := range snap.Parties() {
+	for _, party := range snap.order {
 		recs, err := s.InstanceRecords(ctx, id, party)
 		if err != nil {
 			t.Fatal(err)
@@ -355,8 +388,125 @@ func TestCommitNeverDowngradesSchema(t *testing.T) {
 			}
 		}
 	}
-	if want := s.migs[migrationJobID(id, snap.Version)].Snapshot().Migratable; moved != want {
-		t.Fatalf("stale commit downgraded tags: %d at current version, want %d", moved, want)
+	if want := job.Snapshot().Migratable; moved != want {
+		t.Fatalf("stale sweep downgraded tags: %d at current version, want %d", moved, want)
+	}
+}
+
+// schemaTags lists every record's schema tag in shard-scan order.
+func schemaTags(t *testing.T, s *Store, id string) []uint64 {
+	t.Helper()
+	snap, err := s.Snapshot(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []uint64
+	for _, party := range snap.Parties() {
+		recs, err := s.InstanceRecords(ctx, id, party)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			tags = append(tags, rec.Schema)
+		}
+	}
+	return tags
+}
+
+// TestMigrateAllFailedAppendAppliesNothing: a shard whose migShard
+// append fails advances no tag and folds nothing; the job fails in a
+// retryable way, and the retry completes it exactly.
+func TestMigrateAllFailedAppendAppliesNothing(t *testing.T) {
+	s, err := Open(WithJournal(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	seedPaperScenario(t, s)
+	const id = "procurement"
+	want, _ := sequentialBaseline(t, s, id)
+	before := schemaTags(t, s, id)
+	// The job's migJob record is the first append, the first shard's
+	// record (one worker: shard 0) the second.
+	if err := fault.Arm(fault.PointJournalAppendWrite, fault.Trigger{Nth: 2}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.DisarmAll)
+	job, err := s.MigrateAll(ctx, id, 1)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("MigrateAll under a failing append = %v, want the injected fault", err)
+	}
+	if v := job.Snapshot(); v.Status != migrate.StatusFailed || v.ShardsDone != 0 || v.Total != 0 {
+		t.Fatalf("job after the failed append = %+v, want failed with nothing folded", v)
+	}
+	if got := schemaTags(t, s, id); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatal("a failed shard append advanced schema tags")
+	}
+	if s.Degraded() != nil {
+		t.Fatal("a rolled-back append degraded the store")
+	}
+	fault.DisarmAll()
+	again, err := s.MigrateAll(ctx, id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != job {
+		t.Fatal("retry minted a fresh job instead of resuming the failed one")
+	}
+	if v := again.Snapshot(); v.Status != migrate.StatusDone || v.Counts != want {
+		t.Fatalf("after retry: %+v, want done with %+v", v, want)
+	}
+}
+
+// TestMigrateAllAllocsFlat pins that a sweep keeps no per-instance
+// state: on an all-migratable population, whose every tag advances
+// each run, the allocations of one MigrateAll do not grow with the
+// number of instances.
+func TestMigrateAllAllocsFlat(t *testing.T) {
+	allocs := func(perParty int) float64 {
+		s, err := Open(WithJournal(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		const id = "procurement"
+		recordPaperPopulation(t, s, id, perParty, 12)
+		e, err := s.entry(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job *migrate.Job
+		n := testing.AllocsPerRun(5, func() {
+			// Untag every record and forget the job, so each run sweeps
+			// afresh and advances every tag; neither step allocates.
+			for i := range e.inst {
+				sh := &e.inst[i]
+				sh.mu.Lock()
+				for _, recs := range sh.recs {
+					for _, r := range recs {
+						r.schema = 0
+					}
+				}
+				sh.mu.Unlock()
+			}
+			if job != nil {
+				s.dropMigrationJob(job.ID)
+			}
+			if job, err = s.MigrateAll(ctx, id, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if v := job.Snapshot(); v.Total != 3*perParty || v.Migratable != v.Total {
+			t.Fatalf("swept %+v, want %d instances, all migratable", v.Counts, 3*perParty)
+		}
+		return n
+	}
+	small, large := allocs(667), allocs(3334)
+	t.Logf("allocs per sweep: %.0f at 2k instances, %.0f at 10k", small, large)
+	// The slack absorbs sync.Pool refills after a GC (the JSON encoder's
+	// state); any per-instance allocation adds thousands.
+	if large > small*1.05+8 {
+		t.Fatalf("allocs per sweep grew with the population: %.0f at 2k instances, %.0f at 10k", small, large)
 	}
 }
 

@@ -33,10 +33,9 @@ package store
 //
 // Failure protocol. If an append fails, the mutation is not applied
 // and the caller gets the error — the store never holds state the
-// journal missed. The one exception is the migration shard-fold
-// observer, which cannot fail the engine: a lost fold record only
-// means the shard is re-swept after recovery (tag advances are
-// journaled separately, and are monotonic, so re-sweeping is safe).
+// journal missed. This holds for migration sweeps too: a shard's tag
+// advances and its job fold share one record, so a failed append
+// leaves the shard untagged and pending, and the job fails retryably.
 
 import (
 	"context"
@@ -262,7 +261,7 @@ type recEvtCreate struct {
 // path (see ingest.go): the events in apply order plus the *decided
 // facts* — instances created by the batch with their creation tags,
 // and the online-migration tag advances (monotonic, hence idempotent,
-// like recMigTags). Replay applies the recorded outcomes instead of
+// like a recMigShard's). Replay applies the recorded outcomes instead of
 // re-running the decisions, so recovery is deterministic regardless of
 // how concurrent commit records interleave with event records in the
 // WAL. Live replay state is derived data and deliberately absent; it
@@ -284,17 +283,17 @@ type recMigJob struct {
 	Shards  int    `json:"shards"`
 }
 
-// tagRef addresses one instance record inside a shard, mirroring
-// migrate.Item.Ref.
+// tagRef addresses one instance record inside a shard: its party and
+// its index in the party's shard slice.
 type tagRef struct {
 	Party string `json:"party"`
 	Ref   int    `json:"ref"`
 }
 
-// recMigTags journals one shard's schema-tag advances (the
-// instanceSource.Commit of a sweep). Replay re-applies the monotonic
-// advance, so the record is idempotent and commutes across concurrent
-// sweeps.
+// recMigTags is the tag record sweeps wrote before a recMigShard
+// carried its shard's tag advances: one shard's migrated refs, written
+// ahead of the shard's fold. Nothing writes it anymore; replay still
+// applies it, monotonically, so older logs recover.
 type recMigTags struct {
 	ID     string   `json:"id"`
 	Target uint64   `json:"target"`
@@ -310,12 +309,59 @@ type recIdem struct {
 	Version uint64 `json:"version"`
 }
 
-// recMigShard journals one shard folding into its job's checkpoint.
+// recMigShard journals one swept shard (see sweepShard): the advance
+// of choreography ID's records listed in Tags to schema Target, and
+// the shard's fold into its job's checkpoint. Replay applies both
+// together, so a recovered shard is either fully committed or still
+// pending. Logs written before sweeps journaled their tags here carry
+// a recMigTags ahead of a recMigShard without ID, Target and Tags.
 type recMigShard struct {
 	Job      string             `json:"job"`
 	Shard    int                `json:"shard"`
 	Counts   migrate.Counts     `json:"counts"`
 	Stranded []migrate.Stranded `json:"stranded,omitempty"`
+	ID       string             `json:"id,omitempty"`
+	Target   uint64             `json:"target,omitempty"`
+	Tags     []tagRuns          `json:"tags,omitempty"`
+}
+
+// tagRuns lists one party's records a recMigShard advances, as runs
+// of consecutive refs: Runs holds (first ref, run length) pairs.
+type tagRuns struct {
+	Party string `json:"party"`
+	Runs  []int  `json:"runs"`
+}
+
+// add appends ref, extending the last run when ref continues it.
+func (tr *tagRuns) add(ref int) {
+	if n := len(tr.Runs); n > 0 && tr.Runs[n-2]+tr.Runs[n-1] == ref {
+		tr.Runs[n-1]++
+		return
+	}
+	tr.Runs = append(tr.Runs, ref, 1)
+}
+
+// advanceTags moves the records rec.Tags lists to rec.Target; tags
+// never downgrade. The caller holds sh.mu.
+func (rec *recMigShard) advanceTags(sh *instShard) error {
+	for _, tr := range rec.Tags {
+		recs := sh.recs[tr.Party]
+		if len(tr.Runs)%2 != 0 {
+			return fmt.Errorf("migration shard %d: odd run list for party %s", rec.Shard, tr.Party)
+		}
+		for i := 0; i < len(tr.Runs); i += 2 {
+			from, n := tr.Runs[i], tr.Runs[i+1]
+			if from < 0 || n < 0 || from+n > len(recs) {
+				return fmt.Errorf("migration shard %d: refs %s/%d+%d out of range", rec.Shard, tr.Party, from, n)
+			}
+			for _, r := range recs[from : from+n] {
+				if r.schema < rec.Target {
+					r.schema = rec.Target
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // appendWAL journals one record; a nil journal appends nothing.
@@ -417,29 +463,6 @@ func (s *Store) recordInstances(e *entry, party string, insts []instance.Instanc
 	}
 	e.addInstances(party, insts, schema)
 	return nil
-}
-
-// shardObserver returns the journaling hook for one job's shard
-// folds. The closure checks the journal at call time, so it is safe
-// to install on jobs restored before journaling starts.
-func (s *Store) shardObserver(jobID string) func(int, migrate.Counts, []migrate.Stranded) error {
-	return func(shard int, c migrate.Counts, stranded []migrate.Stranded) error {
-		if s.jnl == nil {
-			return nil
-		}
-		rec := walRecord{MigShard: &recMigShard{Job: jobID, Shard: shard, Counts: c, Stranded: stranded}}
-		s.persistMu.RLock()
-		defer s.persistMu.RUnlock()
-		// A failed append fails the fold: the shard's tags are already
-		// durable (and idempotent to re-apply), but its "done" mark is
-		// not, so acking it would let a recovered job regress below
-		// what the client saw. The failed sweep resumes with this
-		// shard still pending.
-		if err := s.appendWAL(&rec); err != nil {
-			return s.checkAppendErr(err)
-		}
-		return nil
-	}
 }
 
 // ---- snapshot serialization ----
@@ -565,9 +588,7 @@ func (s *Store) restoreSnapshot(data []byte) error {
 		}
 	}
 	for _, st := range ps.Jobs {
-		job := migrate.RestoreJob(st)
-		job.Observer = s.shardObserver(st.ID)
-		s.migs[st.ID] = job
+		s.migs[st.ID] = migrate.RestoreJob(st)
 		s.migOrder = append(s.migOrder, st.ID)
 	}
 	return nil
@@ -792,7 +813,6 @@ func (s *Store) applyMigJob(rec *recMigJob) error {
 		Status:        migrate.StatusRunning, // settled to Canceled (resumable) by RestoreJob
 		Done:          make([]bool, rec.Shards),
 	})
-	job.Observer = s.shardObserver(rec.Job)
 	s.migs[rec.Job] = job
 	s.migOrder = append(s.migOrder, rec.Job)
 	return nil
@@ -829,7 +849,23 @@ func (s *Store) applyIdem(rec *recIdem) error {
 	return nil
 }
 
+// applyMigShard re-applies one swept shard: its tag advances (absent
+// in older logs, whose recMigTags carried them), then its fold.
 func (s *Store) applyMigShard(rec *recMigShard) error {
+	if len(rec.Tags) > 0 {
+		if rec.Shard < 0 || rec.Shard >= instShardCount {
+			return fmt.Errorf("migration shard for %q: shard %d out of range", rec.ID, rec.Shard)
+		}
+		if e, err := s.entry(rec.ID); err == nil { // else raced a delete
+			sh := &e.inst[rec.Shard]
+			sh.mu.Lock()
+			err := rec.advanceTags(sh)
+			sh.mu.Unlock()
+			if err != nil {
+				return fmt.Errorf("migration tags for %q: %w", rec.ID, err)
+			}
+		}
+	}
 	job, ok := s.migs[rec.Job]
 	if !ok {
 		return nil // the job was evicted before this fold was checkpointed

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/instance"
+	"repro/internal/journal"
 	"repro/internal/label"
 	"repro/internal/migrate"
 	"repro/internal/paperrepro"
@@ -541,6 +543,93 @@ func TestRecoveredMigrationResumes(t *testing.T) {
 	if got := again.Snapshot(); got.Counts != want.Counts {
 		t.Fatalf("re-run after recovery changed counters: %+v, want %+v", got.Counts, want.Counts)
 	}
+}
+
+// TestRecoverLegacyMigrationRecords pins the replay of logs written
+// before a swept shard's tag advances moved into its migShard record:
+// per shard, a migTags record listing every migrated ref, then a
+// migShard fold without tags. The recovered store must hold the same
+// schema tags and job state (done shards, counts, stranded report) as
+// a live sweep of the same population produces.
+func TestRecoverLegacyMigrationRecords(t *testing.T) {
+	const id = "procurement"
+	live, err := Open(WithJournal(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	seed := func(s *Store) {
+		recordPaperPopulation(t, s, id, 40, 12)
+		commitTrackingLimit(t, s, id)
+	}
+	seed(live)
+	job, err := live.MigrateAll(ctx, id, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	old, err := Open(WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed(old)
+	e, err := old.entry(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.snap.Load()
+	legacy := []walRecord{{MigJob: &recMigJob{Job: job.ID, ID: id, Version: snap.Version, Shards: instShardCount}}}
+	for shard := range e.inst {
+		tags := recMigTags{ID: id, Target: snap.Version, Shard: shard, Refs: []tagRef{}}
+		var tally migrate.Tally
+		for _, party := range snap.order {
+			chk, err := snap.parties[party].complianceChecker()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ref, r := range e.inst[shard].recs[party] {
+				if tally.Add(party, r.inst.ID, chk.Check(r.inst)) {
+					tags.Refs = append(tags.Refs, tagRef{Party: party, Ref: ref})
+				}
+			}
+		}
+		legacy = append(legacy,
+			walRecord{MigTags: &tags},
+			walRecord{MigShard: &recMigShard{Job: job.ID, Shard: shard, Counts: tally.Counts, Stranded: tally.Stranded}})
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jnl, _, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range legacy {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jnl.Append(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, err := Open(WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if got := schemaTags(t, recovered, id); fmt.Sprint(got) != fmt.Sprint(schemaTags(t, live, id)) {
+		t.Fatal("legacy records recovered other schema tags than the live sweep")
+	}
+	if v := job.Snapshot(); v.Status != migrate.StatusDone || v.NonReplayable+v.Unviable == 0 {
+		t.Fatalf("live sweep = %+v, want done with stranded instances", v)
+	}
+	assertStoresEqual(t, live, recovered)
 }
 
 // TestTornInstanceRecordDiscarded is the focused torn-tail test of

@@ -69,15 +69,15 @@ func Check(patterns []string) ([]Finding, error) {
 		if len(marked) == 0 {
 			continue
 		}
-		out, err := escapeOutput(pkg.ImportPath)
+		root := ""
+		if pkg.Module != nil {
+			root = pkg.Module.Dir
+		}
+		out, err := escapeOutput(pkg.ImportPath, root)
 		if err != nil {
 			return nil, err
 		}
-		base := ""
-		if pkg.Module != nil {
-			base = pkg.Module.Dir
-		}
-		findings = append(findings, matchEscapes(out, base, marked)...)
+		findings = append(findings, matchEscapes(out, pkg.Dir, marked)...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -171,10 +171,14 @@ func recvTypeName(e ast.Expr) string {
 }
 
 // escapeOutput compiles one package with escape-analysis diagnostics
-// enabled and returns the compiler's stderr. The diagnostics replay
-// from the build cache on repeat runs.
-func escapeOutput(importPath string) (string, error) {
+// enabled and returns the compiler's stderr. The build runs in dir,
+// the module root (empty outside a module: the working directory), so
+// the paths it prints — and Finding.File repeats — are module-relative
+// wherever the gate is run from. The diagnostics replay from the build
+// cache on repeat runs.
+func escapeOutput(importPath, dir string) (string, error) {
 	cmd := exec.Command("go", "build", "-gcflags="+importPath+"=-m=1", importPath)
+	cmd.Dir = dir
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	if err := cmd.Run(); err != nil {
@@ -187,10 +191,9 @@ func escapeOutput(importPath string) (string, error) {
 var escapeRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*(?:escapes to heap|moved to heap).*)$`)
 
 // matchEscapes pairs escape diagnostics with the marked declarations
-// they fall inside. The compiler prints paths relative to the module
-// root; base resolves them (empty base: resolve against the working
-// directory).
-func matchEscapes(out, base string, marked []markedFunc) []Finding {
+// they fall inside; pkgDir is the compiled package's directory (empty:
+// resolve paths against the working directory).
+func matchEscapes(out, pkgDir string, marked []markedFunc) []Finding {
 	var findings []Finding
 	for _, line := range strings.Split(out, "\n") {
 		m := escapeRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(line, "#")))
@@ -199,12 +202,8 @@ func matchEscapes(out, base string, marked []markedFunc) []Finding {
 		}
 		lineNo, _ := strconv.Atoi(m[2])
 		colNo, _ := strconv.Atoi(m[3])
-		abs := m[1]
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(base, abs)
-		}
-		var err error
-		if abs, err = filepath.Abs(abs); err != nil {
+		abs, ok := resolveDiagPath(m[1], pkgDir)
+		if !ok {
 			continue
 		}
 		for _, mf := range marked {
@@ -218,4 +217,29 @@ func matchEscapes(out, base string, marked []markedFunc) []Finding {
 		}
 	}
 	return findings
+}
+
+// resolveDiagPath maps a compiler-printed file path onto pkgDir. The
+// go command prints paths relative to the directory the build ran in,
+// and replays cached output verbatim — so output cached by a build in
+// another directory carries that directory's relative paths. Every
+// diagnostic of one compile sits in the compiled package's own files,
+// so the path minus its leading ./ and ../ elements must end in
+// pkgDir; any other path is a file of another package.
+func resolveDiagPath(path, pkgDir string) (string, bool) {
+	if filepath.IsAbs(path) {
+		return filepath.Clean(path), true
+	}
+	if pkgDir == "" {
+		abs, err := filepath.Abs(path)
+		return abs, err == nil
+	}
+	rest := filepath.ToSlash(filepath.Clean(path))
+	for strings.HasPrefix(rest, "../") {
+		rest = rest[len("../"):]
+	}
+	if dir := filepath.Dir(rest); dir != "." && !strings.HasSuffix(filepath.ToSlash(pkgDir), "/"+dir) {
+		return "", false
+	}
+	return filepath.Join(pkgDir, filepath.Base(rest)), true
 }

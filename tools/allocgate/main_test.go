@@ -97,6 +97,33 @@ func TestMatchEscapes(t *testing.T) {
 	}
 }
 
+// TestResolveDiagPath pins the path mapping that keeps the gate
+// independent of the working directory: module-relative output, output
+// replayed from a cache entry written by a build in another directory,
+// and package-relative output all land on the package's file, while a
+// file of another package is dropped.
+func TestResolveDiagPath(t *testing.T) {
+	const pkgDir = "/mod/tools/choreolint/testdata/src/allocfree"
+	for _, tc := range []struct {
+		path, want string
+	}{
+		{"tools/choreolint/testdata/src/allocfree/fixture.go", pkgDir + "/fixture.go"},
+		{"../choreolint/testdata/src/allocfree/fixture.go", pkgDir + "/fixture.go"},
+		{"./fixture.go", pkgDir + "/fixture.go"},
+		{"/mod/tools/choreolint/testdata/src/allocfree/fixture.go", pkgDir + "/fixture.go"},
+		{"../afsa/fixture.go", ""},
+		{"internal/store/fixture.go", ""},
+	} {
+		got, ok := resolveDiagPath(tc.path, pkgDir)
+		if !ok {
+			got = ""
+		}
+		if got != tc.want {
+			t.Errorf("resolveDiagPath(%q) = %q, want %q", tc.path, got, tc.want)
+		}
+	}
+}
+
 // mustAbs resolves p the same way matchEscapes resolves compiler
 // paths.
 func mustAbs(t *testing.T, p string) string {
