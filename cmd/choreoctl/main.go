@@ -388,12 +388,12 @@ func runPropagate(args []string) error {
 }
 
 // runServe starts the choreod HTTP service: a sharded, cache-aware
-// choreography store behind the JSON API of internal/server (/v2/
-// plus the /v1/ compatibility shim). With -data the store is durable:
-// state is recovered from the journal directory on boot, every
-// mutation is written ahead to it, and a graceful shutdown (SIGTERM
-// or interrupt) drains in-flight requests, checkpoints and closes the
-// journal. Without -data the store is in-memory, as before.
+// choreography store behind the /v2/ JSON API of internal/server.
+// With -data the store is durable: state is recovered from the
+// journal directory on boot, every mutation is written ahead to it,
+// and a graceful shutdown (SIGTERM or interrupt) drains in-flight
+// requests, checkpoints and closes the journal. Without -data the
+// store is in-memory, as before.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")

@@ -66,7 +66,7 @@
 //	st  := choreo.NewChoreographyStore(             // sharded COW store
 //		choreo.WithStoreShards(32),
 //		choreo.WithStoreCacheCap(4096))
-//	srv := choreo.NewChoreoServer(st)               // JSON HTTP API (/v2/ + /v1/ shim)
+//	srv := choreo.NewChoreoServer(st)               // JSON HTTP API (/v2/)
 //	http.ListenAndServe(":8080", srv.Handler())
 //
 // or, from the command line, "choreoctl serve". The store
@@ -91,10 +91,9 @@
 // {code: "conflict"}. Listings paginate with limit/page_token cursors,
 // and every error is a uniform {code, message, details} envelope
 // (ChoreoCode* constants, matched with ChoreoErrIs). ChoreoClient is
-// the typed, context-first Go client; the /v1/ surface remains served
-// as a compatibility shim for deployed clients. See internal/server
-// for the wire types and docs/api.md for the full wire reference with
-// curl examples and the v1→v2 migration table.
+// the typed, context-first Go client. See internal/server for the wire
+// types and docs/api.md for the full wire reference with curl
+// examples.
 //
 // The store is durable on request: OpenChoreographyStore with
 // WithStoreJournal(dir) write-ahead logs every store mutation into

@@ -105,7 +105,7 @@ type (
 	// EvolutionReport is the outcome of analyzing one change.
 	EvolutionReport = choreography.EvolutionReport
 	// PartnerImpact is the per-partner effect of a change.
-	PartnerImpact = choreography.PartnerImpact
+	PartnerImpact = core.PartnerImpact
 	// ConsistencyReport is the pairwise consistency status.
 	ConsistencyReport = choreography.ConsistencyReport
 	// PairReport is one pair's status.

@@ -22,7 +22,6 @@ import (
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/core"
-	"repro/internal/label"
 	"repro/internal/mapping"
 	"repro/internal/wsdl"
 )
@@ -183,25 +182,6 @@ func (c *Choreography) Check() (*ConsistencyReport, error) {
 	return rep, nil
 }
 
-// PartnerImpact describes the effect of a change on one partner.
-type PartnerImpact struct {
-	Partner string
-	// ViewChanged reports whether the partner's view of the
-	// originator changed at all; when false nothing else is set
-	// ("change effects can be kept local", Sec. 3.1).
-	ViewChanged bool
-	// Classification is the two-dimensional classification of the
-	// view change (Defs. 5/6).
-	Classification core.Classification
-	// OldView/NewView are the partner's views of the originator's
-	// public process before and after the change.
-	OldView, NewView *afsa.Automaton
-	// Plans are the propagation plans (nil for invariant changes).
-	Plans []*core.Plan
-	// Suggestions are ready-to-review private adaptations per plan.
-	Suggestions []core.Suggestion
-}
-
 // EvolutionReport is the outcome of analyzing one private-process
 // change (paper Fig. 4).
 type EvolutionReport struct {
@@ -213,7 +193,7 @@ type EvolutionReport struct {
 	NewTable   mapping.Table
 	// PublicChanged reports whether the public process changed at all.
 	PublicChanged bool
-	Impacts       []PartnerImpact
+	Impacts       []core.PartnerImpact
 }
 
 // NeedsPropagation reports whether any partner requires propagation
@@ -260,69 +240,15 @@ func (c *Choreography) Evolve(party string, op change.Operation) (*EvolutionRepo
 
 	for _, partnerName := range c.partnersOf(party) {
 		partner := c.parties[partnerName]
-		impact := PartnerImpact{Partner: partnerName}
-		impact.OldView = originator.Public.View(partnerName)
-		impact.NewView = res.Automaton.View(partnerName)
-		impact.ViewChanged = !afsa.Equivalent(impact.OldView, impact.NewView)
-		if !impact.ViewChanged {
-			report.Impacts = append(report.Impacts, impact)
-			continue
-		}
-		partnerView := partner.Public.View(party)
-		impact.Classification, err = core.Classify(impact.OldView, impact.NewView, partnerView)
+		impact, err := core.AnalyzeImpact(party, originator.Public.View(partnerName), res.Automaton.View(partnerName),
+			core.Partner{Name: partnerName, Public: partner.Public, Table: partner.Table, Alphabet: partner.Public.Alphabet(), Private: partner.Private},
+			func() *afsa.Automaton { return partner.Public.View(party) }, c.reg)
 		if err != nil {
 			return nil, err
-		}
-		if impact.Classification.Scope == core.ScopeVariant {
-			plans, suggestions, err := c.planPropagation(party, partner, impact)
-			if err != nil {
-				return nil, err
-			}
-			impact.Plans = plans
-			impact.Suggestions = suggestions
 		}
 		report.Impacts = append(report.Impacts, impact)
 	}
 	return report, nil
-}
-
-// planPropagation runs steps 1–3 of Secs. 5.2/5.3 against a partner,
-// using the partner's *full* public process so the hints stay in the
-// mapping table's state space. For subtractive planning the new view
-// is lifted over the partner's foreign labels (conversations with
-// third parties are unconstrained by this change).
-func (c *Choreography) planPropagation(party string, partner *Party, impact PartnerImpact) ([]*core.Plan, []core.Suggestion, error) {
-	foreign := label.NewSet()
-	for l := range partner.Public.Alphabet() {
-		if !l.Involves(party) {
-			foreign.Add(l)
-		}
-	}
-	var plans []*core.Plan
-	if impact.Classification.Kind.Additive() {
-		p, err := core.PlanAdditive(impact.NewView, partner.Public, partner.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans = append(plans, p)
-	}
-	if impact.Classification.Kind.Subtractive() {
-		view := impact.NewView
-		if len(foreign) > 0 {
-			view = core.LiftForeign(view, foreign)
-		}
-		p, err := core.PlanSubtractive(view, partner.Public, partner.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans = append(plans, p)
-	}
-	sugg := &core.Suggester{Private: partner.Private, Registry: c.reg}
-	var suggestions []core.Suggestion
-	for _, p := range plans {
-		suggestions = append(suggestions, sugg.Suggest(p)...)
-	}
-	return plans, suggestions, nil
 }
 
 // partnersOf returns the parties that exchange messages with party.

@@ -59,7 +59,7 @@ func TestMultiPartnerSubtractivePropagation(t *testing.T) {
 	if !rep.PublicChanged {
 		t.Fatal("revert did not change the buyer public process")
 	}
-	var acc PartnerImpact
+	var acc core.PartnerImpact
 	for _, im := range rep.Impacts {
 		if im.Partner == paperrepro.Accounting {
 			acc = im

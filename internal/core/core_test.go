@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/afsa"
@@ -196,25 +197,50 @@ func TestLiftForeign(t *testing.T) {
 	}
 }
 
-func TestPropagateDispatch(t *testing.T) {
-	oldB := branching("old", []string{"A#B#x"})
-	newView := branching("new", []string{"A#B#x"}, []string{"A#B#y"})
-	plans, err := Propagate(KindAdditive, newView, oldB, nil)
+// TestAnalyzeImpactDispatch pins how a variant change is planned per
+// change kind: an additive change yields one additive plan, a change
+// that adds and removes sequences two plans, and a neutral one (only
+// an annotation changed) no plan and no error.
+func TestAnalyzeImpactDispatch(t *testing.T) {
+	private := &bpel.Process{Name: "b", Owner: "B", Body: &bpel.Receive{BlockName: "x", Partner: "A", Op: "x"}}
+	res, err := mapping.Derive(private, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) != 1 || plans[0].Kind != KindAdditive {
-		t.Fatalf("plans = %v", plans)
+	partner := Partner{Name: "B", Public: res.Automaton, Table: res.Table, Alphabet: res.Automaton.Alphabet(), Private: private}
+	partnerView := func() *afsa.Automaton { return res.Automaton.View("A") }
+	// mandatory makes A's choice between x and y internal: B has to
+	// accept both.
+	mandatory := func(a *afsa.Automaton) *afsa.Automaton {
+		a.Annotate(a.Start(), formula.And(formula.Var("A#B#x"), formula.Var("A#B#y")))
+		return a
 	}
-	plans, err = Propagate(KindBoth, newView, oldB, nil)
-	if err != nil {
-		t.Fatal(err)
+	x, y := []string{"A#B#x"}, []string{"A#B#y"}
+	tests := []struct {
+		name             string
+		oldView, newView *afsa.Automaton
+		kind             ChangeKind
+		plans            []ChangeKind
+	}{
+		{"additive", branching("old", x), mandatory(branching("new", x, y)), KindAdditive, []ChangeKind{KindAdditive}},
+		{"both", branching("old", x), branching("new", y), KindBoth, []ChangeKind{KindAdditive, KindSubtractive}},
+		{"neutral", branching("old", x, y), mandatory(branching("new", x, y)), KindNeutral, nil},
 	}
-	if len(plans) != 2 {
-		t.Fatalf("KindBoth plans = %d, want 2", len(plans))
-	}
-	if _, err := Propagate(KindNeutral, newView, oldB, nil); err == nil {
-		t.Fatal("neutral propagation accepted")
+	for _, tc := range tests {
+		im, err := AnalyzeImpact("A", tc.oldView, tc.newView, partner, partnerView, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := (Classification{Kind: tc.kind, Scope: ScopeVariant}); !im.ViewChanged || im.Classification != want {
+			t.Fatalf("%s: viewChanged=%v classification %+v, want %+v", tc.name, im.ViewChanged, im.Classification, want)
+		}
+		var kinds []ChangeKind
+		for _, p := range im.Plans {
+			kinds = append(kinds, p.Kind)
+		}
+		if fmt.Sprint(kinds) != fmt.Sprint(tc.plans) {
+			t.Fatalf("%s: plan kinds %v, want %v", tc.name, kinds, tc.plans)
+		}
 	}
 }
 

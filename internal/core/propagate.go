@@ -129,31 +129,6 @@ func PlanSubtractive(newView, partnerB *afsa.Automaton, tbl mapping.Table) (*Pla
 	return plan, nil
 }
 
-// Propagate plans the propagation of a variant change to one partner,
-// dispatching on the change kind (a change that both adds and removes
-// sequences yields two plans).
-func Propagate(kind ChangeKind, newView, partnerB *afsa.Automaton, tbl mapping.Table) ([]*Plan, error) {
-	var plans []*Plan
-	if kind.Additive() {
-		p, err := PlanAdditive(newView, partnerB, tbl)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	if kind.Subtractive() {
-		p, err := PlanSubtractive(newView, partnerB, tbl)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("core: nothing to propagate for a %s change", kind)
-	}
-	return plans, nil
-}
-
 func regions(hints []Hint, tbl mapping.Table) []Region {
 	out := make([]Region, 0, len(hints))
 	for _, h := range hints {

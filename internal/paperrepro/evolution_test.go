@@ -30,7 +30,7 @@ func scenario(t *testing.T) *choreography.Choreography {
 	return c
 }
 
-func impactOn(t *testing.T, rep *choreography.EvolutionReport, partner string) choreography.PartnerImpact {
+func impactOn(t *testing.T, rep *choreography.EvolutionReport, partner string) core.PartnerImpact {
 	t.Helper()
 	for _, im := range rep.Impacts {
 		if im.Partner == partner {
@@ -38,7 +38,7 @@ func impactOn(t *testing.T, rep *choreography.EvolutionReport, partner string) c
 		}
 	}
 	t.Fatalf("no impact on %s in report", partner)
-	return choreography.PartnerImpact{}
+	return core.PartnerImpact{}
 }
 
 // TestFig10InvariantAdditive reproduces Sec. 5.1 / Figs. 9–10: adding

@@ -56,10 +56,6 @@
 // commit accept an Idempotency-Key header, and a retried commit with
 // the same key applies exactly once — the replay answers the original
 // outcome (see docs/resilience.md).
-//
-// /v1/ remains available as a compatibility shim with the original
-// single-op, body-version, {error}-envelope wire contract; it
-// delegates to the same core as /v2/. See v1.go.
 package server
 
 import (
@@ -121,13 +117,11 @@ func New(st *store.Store) *Server {
 // Store returns the underlying store.
 func (s *Server) Store() *store.Store { return s.store }
 
-// Handler returns the routed HTTP handler serving /v2/, the /v1/
-// compatibility shim, and /healthz.
+// Handler returns the routed HTTP handler serving /v2/ and /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.routesV2(mux)
-	s.routesV1(mux)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
 		mux.ServeHTTP(w, r)
@@ -138,7 +132,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// ---- shared core (version-agnostic logic both route sets delegate to) ----
+// ---- request logic behind the /v2/ handlers ----
 
 func parseProcess(xml string) (*bpel.Process, error) {
 	if xml == "" {
@@ -274,15 +268,6 @@ func (s *Server) choreographyInfo(ctx context.Context, id string) (*Choreography
 		info.Parties = append(info.Parties, pi)
 	}
 	return info, nil
-}
-
-func (s *Server) sortedIDs(ctx context.Context) ([]string, error) {
-	ids, err := s.store.IDs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(ids)
-	return ids, nil
 }
 
 // applyOps resolves an apply request against the pending evolution and

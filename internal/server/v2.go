@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -138,11 +139,12 @@ func (s *Server) v2List(w http.ResponseWriter, r *http.Request) {
 		writeErrorV2(w, err)
 		return
 	}
-	ids, err := s.sortedIDs(r.Context())
+	ids, err := s.store.IDs(r.Context())
 	if err != nil {
 		writeErrorV2(w, err)
 		return
 	}
+	sort.Strings(ids)
 	page, next, err := paginate(ids, limit, token)
 	if err != nil {
 		writeErrorV2(w, err)

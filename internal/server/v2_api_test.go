@@ -239,9 +239,9 @@ func TestV2Pagination(t *testing.T) {
 // TestV2MultiOpEvolveMatchesSequentialV1 is the acceptance criterion:
 // one /v2/ evolve carrying [order_2, tracking-limit] as a single
 // change transaction must produce the same classification and
-// propagation as the v1 idiom — applying the ops sequentially on the
-// client and submitting the final process as one whole-process
-// replacement — and commit as one version bump.
+// propagation as applying the ops sequentially on the client and
+// submitting the final process as one whole-process replacement — and
+// commit as one version bump.
 func TestV2MultiOpEvolveMatchesSequentialV1(t *testing.T) {
 	c, _ := testClient(t)
 
@@ -259,9 +259,9 @@ func TestV2MultiOpEvolveMatchesSequentialV1(t *testing.T) {
 		final = next
 	}
 
-	// Reference analysis: the v1 semantics (whole-process replacement of
-	// the sequentially composed result) on its own choreography.
-	idRef := "procurement-v1"
+	// Reference analysis: whole-process replacement of the sequentially
+	// composed result, on its own choreography.
+	idRef := "procurement-ref"
 	if err := c.CreateChoreography(ctx, idRef, []string{"L.getStatusLOp"}); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestV2MultiOpEvolveMatchesSequentialV1(t *testing.T) {
 		t.Fatalf("multi-op analysis flags differ: %+v vs %+v", evo, ref)
 	}
 	if !reflect.DeepEqual(evo.Impacts, ref.Impacts) {
-		t.Fatalf("multi-op impacts differ from sequential v1:\n%+v\nvs\n%+v", evo.Impacts, ref.Impacts)
+		t.Fatalf("multi-op impacts differ from whole-process replacement:\n%+v\nvs\n%+v", evo.Impacts, ref.Impacts)
 	}
 
 	// Committing the transaction bumps the version once.

@@ -15,7 +15,7 @@ import (
 	"repro/internal/store"
 )
 
-// ---- shared wire types (identical shapes on /v1/ and /v2/) ----
+// ---- wire types ----
 
 // CreateRequest creates a choreography.
 type CreateRequest struct {
@@ -156,7 +156,7 @@ type PublishRequest struct {
 }
 
 // MatchRequest queries discovery with a party's public process. Limit
-// and PageToken paginate the result on /v2/ (ignored by /v1/).
+// and PageToken paginate the result.
 type MatchRequest struct {
 	Choreography string `json:"choreography"`
 	Party        string `json:"party"`
@@ -209,34 +209,6 @@ type StatsResponse struct {
 	Degraded  bool   `json:"degraded,omitempty"`
 	LastError string `json:"lastError,omitempty"`
 }
-
-// ---- v1-only wire types ----
-
-// ErrorResponse is the /v1/ JSON error envelope.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
-// EvolveRequest submits a /v1/ change: the party's proposed new
-// private process as XML (single whole-process operation).
-type EvolveRequest struct {
-	Party string `json:"party"`
-	XML   string `json:"xml"`
-}
-
-// EvolveResponse is the /v1/ analysis of one submitted change, with
-// the base version as a body field (moved to the ETag header on /v2/).
-type EvolveResponse struct {
-	Evolution        string       `json:"evolution"`
-	Choreography     string       `json:"choreography"`
-	Party            string       `json:"party"`
-	BaseVersion      uint64       `json:"baseVersion"`
-	PublicChanged    bool         `json:"publicChanged"`
-	NeedsPropagation bool         `json:"needsPropagation"`
-	Impacts          []ImpactJSON `json:"impacts"`
-}
-
-// ---- v2-only wire types ----
 
 // Error codes of the /v2/ error envelope. They are part of the API
 // contract: clients branch on codes, not on message strings.
@@ -461,20 +433,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeErrorV1 writes the legacy /v1/ {error} envelope.
-func writeErrorV1(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, store.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, store.ErrExists), errors.Is(err, store.ErrConflict):
-		status = http.StatusConflict
-	case errors.Is(err, errBadRequest), errors.Is(err, store.ErrInvalid):
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 // writeErrorV2 writes the /v2/ {code, message, details} envelope.

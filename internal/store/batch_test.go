@@ -90,7 +90,7 @@ func TestEvolveMultiOpMatchesSequentialComposition(t *testing.T) {
 	ops := []change.Operation{paperrepro.OrderTwoChange(), paperrepro.TrackingLimitChange()}
 
 	// Reference: apply the ops by hand, evolve with a whole-process
-	// replacement (the v1 idiom).
+	// replacement.
 	final := paperrepro.AccountingProcess()
 	for _, op := range ops {
 		next, err := op.Apply(final)

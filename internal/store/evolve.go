@@ -8,29 +8,9 @@ import (
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/core"
-	"repro/internal/label"
 	"repro/internal/mapping"
 	"repro/internal/wsdl"
 )
-
-// PartnerImpact describes the effect of an analyzed change on one
-// partner (mirrors the paper's Fig. 4 loop: classification, plans,
-// suggestions).
-type PartnerImpact struct {
-	Partner string
-	// ViewChanged reports whether the partner's view of the originator
-	// changed at all; when false nothing else is set.
-	ViewChanged bool
-	// Classification is the two-dimensional classification (Defs. 5/6).
-	Classification core.Classification
-	// OldView/NewView are the partner's views of the originator before
-	// and after the change.
-	OldView, NewView *afsa.Automaton
-	// Plans are the propagation plans (empty for invariant changes).
-	Plans []*core.Plan
-	// Suggestions are ready-to-review private adaptations per plan.
-	Suggestions []core.Suggestion
-}
 
 // Evolution is an analyzed-but-not-committed change: the outcome of
 // Evolve, pinned to the snapshot version it was computed against.
@@ -55,7 +35,7 @@ type Evolution struct {
 	Registry   *wsdl.Registry
 	// PublicChanged reports whether the public process changed at all.
 	PublicChanged bool
-	Impacts       []PartnerImpact
+	Impacts       []core.PartnerImpact
 	// PartnerVersions records each partner's party version at analysis
 	// time: the propagation plans and suggestion paths are only valid
 	// against these versions (ApplyOps checks them).
@@ -73,7 +53,7 @@ func (evo *Evolution) NeedsPropagation() bool {
 }
 
 // Impact returns the impact on one partner.
-func (evo *Evolution) Impact(partner string) (*PartnerImpact, bool) {
+func (evo *Evolution) Impact(partner string) (*core.PartnerImpact, bool) {
 	for i := range evo.Impacts {
 		if evo.Impacts[i].Partner == partner {
 			return &evo.Impacts[i], true
@@ -156,63 +136,15 @@ func (s *Store) evolveSnapshot(ctx context.Context, snap *Snapshot, party string
 		}
 		partner := snap.parties[partnerName]
 		evo.PartnerVersions[partnerName] = partner.Version
-		impact := PartnerImpact{Partner: partnerName}
-		impact.OldView = s.view(originator, partnerName)
-		impact.NewView = res.Automaton.View(partnerName)
-		impact.ViewChanged = !afsa.Equivalent(impact.OldView, impact.NewView)
-		if !impact.ViewChanged {
-			evo.Impacts = append(evo.Impacts, impact)
-			continue
-		}
-		partnerView := s.view(partner, party)
-		impact.Classification, err = core.Classify(impact.OldView, impact.NewView, partnerView)
+		impact, err := core.AnalyzeImpact(party, s.view(originator, partnerName), res.Automaton.View(partnerName),
+			core.Partner{Name: partnerName, Public: partner.Public, Table: partner.Table, Alphabet: partner.alphabet, Private: partner.Private},
+			func() *afsa.Automaton { return s.view(partner, party) }, snap.Registry)
 		if err != nil {
 			return nil, err
-		}
-		if impact.Classification.Scope == core.ScopeVariant {
-			if err := s.planPropagation(snap, party, partner, &impact); err != nil {
-				return nil, err
-			}
 		}
 		evo.Impacts = append(evo.Impacts, impact)
 	}
 	return evo, nil
-}
-
-// planPropagation runs steps 1–3 of Secs. 5.2/5.3 against a partner,
-// lifting the new view over the partner's foreign labels for
-// subtractive planning (third-party conversations are unconstrained by
-// this change).
-func (s *Store) planPropagation(snap *Snapshot, party string, partner *PartyState, impact *PartnerImpact) error {
-	foreign := label.NewSet()
-	for l := range partner.alphabet {
-		if !l.Involves(party) {
-			foreign.Add(l)
-		}
-	}
-	if impact.Classification.Kind.Additive() {
-		p, err := core.PlanAdditive(impact.NewView, partner.Public, partner.Table)
-		if err != nil {
-			return err
-		}
-		impact.Plans = append(impact.Plans, p)
-	}
-	if impact.Classification.Kind.Subtractive() {
-		view := impact.NewView
-		if len(foreign) > 0 {
-			view = core.LiftForeign(view, foreign)
-		}
-		p, err := core.PlanSubtractive(view, partner.Public, partner.Table)
-		if err != nil {
-			return err
-		}
-		impact.Plans = append(impact.Plans, p)
-	}
-	sugg := &core.Suggester{Private: partner.Private, Registry: snap.Registry}
-	for _, p := range impact.Plans {
-		impact.Suggestions = append(impact.Suggestions, sugg.Suggest(p)...)
-	}
-	return nil
 }
 
 // CommitEvolution publishes an analyzed evolution. It fails with

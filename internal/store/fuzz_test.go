@@ -80,7 +80,7 @@ func fuzzOpFromBytes(data []byte, pos *int, p *bpel.Process, partners []string, 
 // transactions fail with an error), and for every transaction that
 // applies cleanly the analysis is path-independent — evolving through
 // the op sequence classifies exactly like evolving through a single
-// replace-the-whole-process op with the same final private (v1 ≡ v2).
+// replace-the-whole-process op with the same final private.
 func FuzzEvolveOps(f *testing.F) {
 	scs, err := scenario.All()
 	if err != nil {

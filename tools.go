@@ -20,8 +20,8 @@ import (
 )
 
 // Serving layer (choreod): a sharded, versioned, cache-aware
-// choreography store plus the JSON HTTP service (v2 surface with a v1
-// compatibility shim) and typed client over it.
+// choreography store plus the /v2/ JSON HTTP service and typed client
+// over it.
 type (
 	// ChoreographyStore is the concurrent in-memory choreography
 	// store: copy-on-write snapshots per choreography, memoized
@@ -30,23 +30,11 @@ type (
 	ChoreographyStore = store.Store
 	// StoreOption configures NewChoreographyStore.
 	StoreOption = store.Option
-	// StoreSnapshot is one immutable choreography snapshot.
-	StoreSnapshot = store.Snapshot
-	// StoreStats are cumulative store counters (cache hits/misses,
-	// commits, conflicts).
-	StoreStats = store.Stats
-	// StoreEvolution is an analyzed-but-uncommitted change transaction
-	// pinned to its base snapshot version.
-	StoreEvolution = store.Evolution
-	// StoreCheckReport is the cached pairwise consistency report.
-	StoreCheckReport = store.CheckReport
 	// ChoreoServer is the choreod HTTP front end.
 	ChoreoServer = server.Server
 	// ChoreoClient is the typed client for the choreod /v2/ API:
 	// context-first, machine-readable error codes, pagination.
 	ChoreoClient = server.Client
-	// ChoreoAPIError is a non-2xx choreod response with its /v2/ code.
-	ChoreoAPIError = server.APIError
 	// EvolveOp is the wire encoding of one structural change operation
 	// inside a /v2/ evolve transaction.
 	EvolveOp = server.OpJSON
@@ -68,39 +56,15 @@ var (
 	WithStoreJournalFsync = store.WithJournalFsync
 )
 
-// StoreCheckpointInfo describes a completed journal compaction
-// (ChoreographyStore.Checkpoint / POST /v2/admin/checkpoint).
-type StoreCheckpointInfo = store.CheckpointInfo
-
-// Store sentinel errors.
-var (
-	ErrStoreNotFound = store.ErrNotFound
-	ErrStoreExists   = store.ErrExists
-	ErrStoreConflict = store.ErrConflict
-	ErrStoreInvalid  = store.ErrInvalid
-	// ErrStoreDegraded marks mutations rejected because a journal
-	// failure could not be rolled back: the store serves reads only
-	// until the process is restarted over an intact journal.
-	ErrStoreDegraded = store.ErrDegraded
-)
+// ErrStoreConflict is the store's optimistic-concurrency error: the
+// analyzed base version is stale.
+var ErrStoreConflict = store.ErrConflict
 
 // Machine-readable choreod /v2/ error codes (ChoreoErrIs matches them).
 const (
-	ChoreoCodeInvalidArgument   = server.CodeInvalidArgument
-	ChoreoCodeNotFound          = server.CodeNotFound
-	ChoreoCodeAlreadyExists     = server.CodeAlreadyExists
-	ChoreoCodeConflict          = server.CodeConflict
-	ChoreoCodeStaleVersion      = server.CodeStaleVersion
-	ChoreoCodeResourceExhausted = server.CodeResourceExhausted
-	ChoreoCodeUnavailable       = server.CodeUnavailable
+	ChoreoCodeStaleVersion = server.CodeStaleVersion
+	ChoreoCodeUnavailable  = server.CodeUnavailable
 )
-
-// ChoreoRetry is the client-side retry/backoff policy; arm it with
-// ChoreoClient.SetRetry. Idempotent requests (reads, and mutations the
-// client keys with Idempotency-Key) retry through 503s and transport
-// failures with exponential backoff; 429 backpressure retries always,
-// honoring the server's retryAfter hint.
-type ChoreoRetry = server.Retry
 
 // ChoreoErrIs reports whether err is a choreod API error with the
 // given /v2/ code.
@@ -135,31 +99,13 @@ var (
 // carries no hint.
 func ChoreoRetryAfter(err error) (time.Duration, bool) { return server.RetryAfter(err) }
 
-// Bulk instance migration: choreography-wide sweeps moving every
-// tracked instance to the current committed snapshot
+// BulkMigrationJob is one choreography-wide sweep moving every tracked
+// instance to the current committed snapshot
 // (ChoreographyStore.MigrateAll / StartMigration, served as
-// POST /v2/choreographies/{id}/migrations).
-type (
-	// BulkMigrationJob is one idempotent, resumable sweep: per-shard
-	// checkpoint, progress counters, stranded-instance report.
-	BulkMigrationJob = migrate.Job
-	// BulkMigrationView is a consistent copy of a job's progress.
-	BulkMigrationView = migrate.View
-	// BulkMigrationStatus is a job lifecycle state.
-	BulkMigrationStatus = migrate.Status
-	// StrandedInstance is one instance a sweep could not migrate.
-	StrandedInstance = migrate.Stranded
-	// ChoreoMigrationJob is the wire shape of a job on the /v2/ API.
-	ChoreoMigrationJob = server.MigrationJobJSON
-)
-
-// Bulk-migration job states.
-const (
-	MigrationRunning  = migrate.StatusRunning
-	MigrationDone     = migrate.StatusDone
-	MigrationCanceled = migrate.StatusCanceled
-	MigrationFailed   = migrate.StatusFailed
-)
+// POST /v2/choreographies/{id}/migrations): idempotent and resumable,
+// with per-shard checkpoints, progress counters and a stranded-instance
+// report.
+type BulkMigrationJob = migrate.Job
 
 // NewChoreographyStore returns an empty store configured by opts
 // (WithStoreShards, WithStoreCacheCap).
@@ -197,10 +143,6 @@ type (
 	// System is a set of parties ready for joint synchronous
 	// execution.
 	System = runtime.System
-	// ExecResult is the outcome of exhaustive exploration.
-	ExecResult = runtime.Result
-	// ExecFailure is one reachable execution failure.
-	ExecFailure = runtime.Failure
 	// WalkResult is one random execution.
 	WalkResult = runtime.WalkResult
 )
@@ -229,17 +171,13 @@ func EvaluateMatches(matcher string, got []ServiceMatch, truth map[string]bool) 
 	return discovery.Evaluate(matcher, got, truth)
 }
 
-// Decentralized consistency establishment (paper Sec. 6).
+// Decentralized change negotiation (paper Sec. 6).
 type (
 	// DecentralNode is one participant of the decentralized protocol.
 	DecentralNode = decentral.Node
-	// DecentralOutcome summarizes one protocol run.
-	DecentralOutcome = decentral.Outcome
 	// Negotiation is the outcome of a decentralized change
 	// introduction (propose/vote/commit).
 	Negotiation = decentral.Negotiation
-	// NegotiationVote is one partner's answer.
-	NegotiationVote = decentral.Vote
 	// PartnerAdapter is the partner-side adaptation callback used
 	// during negotiation.
 	PartnerAdapter = decentral.Adapter
@@ -251,11 +189,6 @@ const (
 	VoteAdapted = decentral.VoteAdapted
 	VoteReject  = decentral.VoteReject
 )
-
-// EstablishDecentralized runs the decentralized consistency protocol.
-func EstablishDecentralized(nodes []DecentralNode) (*DecentralOutcome, error) {
-	return decentral.Establish(nodes)
-}
 
 // NegotiateChange runs the decentralized two-phase introduction of a
 // change: propose the new views, collect accept/adapted/reject votes,
@@ -269,10 +202,6 @@ func NegotiateChange(origin string, newViews map[string]*Automaton, partners []D
 type (
 	// VersionHistory is one party's version tree.
 	VersionHistory = version.History
-	// VersionID identifies a version in a history.
-	VersionID = version.ID
-	// SchemaVersion is one version of a party's process.
-	SchemaVersion = version.Version
 	// VersionManager tracks a history plus the running instances
 	// pinned to its versions.
 	VersionManager = version.Manager
@@ -330,9 +259,6 @@ type (
 	Monitor = conformance.Monitor
 	// Deviation localizes one protocol violation.
 	Deviation = conformance.Deviation
-	// DeviationRole says whether a party deviated as sender or
-	// receiver.
-	DeviationRole = conformance.Role
 	// Drift is the outcome of comparing observed behavior with a
 	// published view.
 	Drift = conformance.Drift
@@ -364,25 +290,8 @@ func DetectDrift(party string, publishedView *Automaton, traces [][]Label) *Drif
 	return conformance.DetectDrift(party, publishedView, traces)
 }
 
-// Workload generation (seeded, deterministic).
-type (
-	// GenParams controls conversation generation.
-	GenParams = gen.Params
-	// Conversation is a generated two-party conversation with its
-	// consistent-by-construction projections.
-	Conversation = gen.Conversation
-)
-
-// DefaultGenParams returns a medium-sized workload.
-func DefaultGenParams() GenParams { return gen.DefaultParams() }
-
-// GenerateConversation builds a random conversation and its two
-// projections.
-func GenerateConversation(seed int64, p GenParams) (*Conversation, error) {
-	return gen.Generate(seed, p)
-}
-
-// RandomChange draws a random structural change for a process.
+// RandomChange draws a random structural change for a process
+// (seeded, deterministic workload generation).
 func RandomChange(seed int64, p *Process, reg *Registry) (ChangeOperation, error) {
 	return gen.RandomChange(seed, p, reg)
 }
@@ -394,8 +303,6 @@ type (
 	// construction), scripted running instances and scripted evolution
 	// episodes with expected classifications and migration fallout.
 	Scenario = scenario.Scenario
-	// ScenarioEpisode is one scripted evolution of a Scenario.
-	ScenarioEpisode = scenario.Episode
 	// LoadgenConfig parameterizes one load run against a choreod.
 	LoadgenConfig = loadgen.Config
 	// LoadgenMix weighs the load generator's op classes.
@@ -404,12 +311,6 @@ type (
 	// summary.
 	LoadgenReport = loadgen.Report
 )
-
-// ScenarioNames lists the checked-in corpus scenarios.
-func ScenarioNames() []string { return scenario.Names() }
-
-// LoadScenario loads one corpus scenario by name.
-func LoadScenario(name string) (*Scenario, error) { return scenario.Load(name) }
 
 // RunLoadgen drives mixed corpus traffic against a running choreod
 // and reports per-op-class throughput and latency quantiles.

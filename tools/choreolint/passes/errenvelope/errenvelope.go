@@ -1,22 +1,19 @@
 // Package errenvelope keeps the HTTP error surface uniform. The /v2/
 // API contract promises every error is a machine-readable
 // {code, message, details} envelope built from the Code* constants,
-// and /v1/ promises the legacy {error} body; both are produced only
-// by the writeErrorV1/writeErrorV2 helpers in internal/server. A
+// produced only by the writeErrorV2 helper in internal/server. A
 // handler that calls http.Error, or hand-writes an error status, ships
 // a plain-text or ad-hoc body that clients branching on envelope codes
 // cannot parse.
 //
 // The analyzer self-gates: it only checks packages that declare a
-// writeErrorV2 (or writeErrorV1) function — that declaration is what
-// makes a package an envelope-owning HTTP surface. Inside one, it
-// reports:
+// writeErrorV2 function — that declaration is what makes a package an
+// envelope-owning HTTP surface. Inside one, it reports:
 //
 //   - any call to net/http.Error;
 //   - any WriteHeader call with a constant status >= 400 outside the
 //     envelope/serialization helpers themselves (writeJSON,
-//     writeErrorV1, writeErrorV2) — error statuses must flow through
-//     the envelope.
+//     writeErrorV2) — error statuses must flow through the envelope.
 package errenvelope
 
 import (
@@ -29,16 +26,16 @@ import (
 // Analyzer reports error responses that bypass the envelope helpers.
 var Analyzer = &analysis.Analyzer{
 	Name: "errenvelope",
-	Doc:  "HTTP errors go through writeErrorV1/writeErrorV2, never http.Error or raw error statuses",
+	Doc:  "HTTP errors go through writeErrorV2, never http.Error or raw error statuses",
 	Run:  run,
 }
 
 // helperNames are the functions allowed to write error statuses: the
 // envelope writers and the JSON serializer they share.
-var helperNames = map[string]bool{"writeJSON": true, "writeErrorV1": true, "writeErrorV2": true}
+var helperNames = map[string]bool{"writeJSON": true, "writeErrorV2": true}
 
 func run(pass *analysis.Pass) error {
-	if pass.Pkg.Scope().Lookup("writeErrorV2") == nil && pass.Pkg.Scope().Lookup("writeErrorV1") == nil {
+	if pass.Pkg.Scope().Lookup("writeErrorV2") == nil {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -54,7 +51,7 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				if analysis.IsPkgCall(pass.TypesInfo, call, "net/http", "Error") {
-					pass.Reportf(call.Pos(), "http.Error bypasses the error envelope; use writeErrorV1/writeErrorV2")
+					pass.Reportf(call.Pos(), "http.Error bypasses the error envelope; use writeErrorV2")
 					return true
 				}
 				if !inHelper {
@@ -82,6 +79,6 @@ func checkWriteHeader(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	if status, ok := constant.Int64Val(tv.Value); ok && status >= 400 {
-		pass.Reportf(call.Pos(), "WriteHeader(%d) writes an error status outside the envelope helpers; use writeErrorV1/writeErrorV2", status)
+		pass.Reportf(call.Pos(), "WriteHeader(%d) writes an error status outside the envelope helpers; use writeErrorV2", status)
 	}
 }
