@@ -20,9 +20,8 @@ import (
 // *conservative*: an internal choice whose branch begins with a
 // receive makes the partner's support of that receive mandatory even
 // though an angelic scheduler (which resolves internal choices only at
-// send time) never walks into the trap. Such cases are counted and
-// reported, not failed; EXPERIMENTS.md records the measured
-// conservatism rate.
+// send time) never walks into the trap. Such cases are counted, not
+// failed; the test logs the measured conservatism rate.
 func TestBilateralVsGlobal(t *testing.T) {
 	consistent, inconsistentConfirmed, conservative := 0, 0, 0
 	for seed := int64(0); seed < 40; seed++ {

@@ -16,8 +16,8 @@
 // in the service layer), so the hot operators — determinization,
 // minimization, products, the viability fixpoint — run on integers
 // and allocation-lean scratch buffers instead of hashing label
-// strings; see ARCHITECTURE.md's "Compute kernel" section and
-// BENCH_afsa.json for the recorded before/after numbers.
+// strings; see ARCHITECTURE.md's "Compute kernel" section.
+// TestScenarioCheckAllocs pins the allocations of one scenario check.
 //
 // When a party changes its private process, the framework recreates
 // the public view, classifies the change (additive/subtractive ×

@@ -16,9 +16,8 @@
 //	          bilateral consistency locally and broadcasts the verdict.
 //
 // Global consistency is the conjunction of the bilateral verdicts —
-// the paper's criterion. The Outcome reports messages, rounds, local
-// work (automata-product states built), allowing the decentralized-
-// vs-centralized scaling experiment (EXPERIMENTS.md D-6).
+// the paper's criterion. The Outcome reports messages, rounds and
+// local work (automata-product states built).
 package decentral
 
 import (

@@ -1,9 +1,12 @@
 package decentral
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/afsa"
+	"repro/internal/bpel"
+	"repro/internal/gen"
 	"repro/internal/mapping"
 	"repro/internal/paperrepro"
 )
@@ -65,6 +68,33 @@ func TestEstablishPaperScenario(t *testing.T) {
 	}
 	if out.LocalStates == 0 {
 		t.Fatal("no local work recorded")
+	}
+}
+
+// TestEstablishGeneratedPairs runs the protocol on one to four
+// disjoint generated conversations at once. Each pair is consistent by
+// construction, so the whole system must be, with one verdict per pair.
+func TestEstablishGeneratedPairs(t *testing.T) {
+	var nodes []Node
+	for i := 0; i < 4; i++ {
+		conv := gen.MustGenerate(int64(i)+500, gen.Params{
+			PartyA: fmt.Sprintf("P%da", i), PartyB: fmt.Sprintf("P%db", i),
+			Messages: 6, MaxDepth: 2, ChoiceProb: 25, MaxBranch: 2,
+		})
+		for _, p := range []*bpel.Process{conv.A, conv.B} {
+			res, err := mapping.Derive(p, conv.Registry)
+			if err != nil {
+				t.Fatalf("pair %d: derive %s: %v", i, p.Owner, err)
+			}
+			nodes = append(nodes, Node{Party: p.Owner, Public: res.Automaton})
+		}
+		out, err := Establish(nodes)
+		if err != nil {
+			t.Fatalf("%d pairs: %v", i+1, err)
+		}
+		if !out.Consistent || len(out.Verdicts) != i+1 {
+			t.Fatalf("%d generated pairs: consistent=%v, verdicts %+v", i+1, out.Consistent, out.Verdicts)
+		}
 	}
 }
 

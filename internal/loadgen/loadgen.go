@@ -2,8 +2,7 @@
 // checks, evolution analyses, commit/revert cycles, migration what-ifs
 // and event ingestion — against a running choreod server, using the
 // scenario corpus as the workload. It reports per-op-class throughput
-// and latency quantiles; `choreoctl loadgen` is the CLI front end and
-// BenchmarkLoadgen records a steady-state run in BENCH_afsa.json.
+// and latency quantiles; `choreoctl loadgen` is the CLI front end.
 package loadgen
 
 import (

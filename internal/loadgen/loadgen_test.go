@@ -110,39 +110,6 @@ func TestLoadgenConfigValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadgen measures steady-state mixed-traffic throughput
-// against an in-process choreod; benchjson records it as the
-// "loadgen" run in BENCH_afsa.json.
-func BenchmarkLoadgen(b *testing.B) {
-	ts := startServer(b)
-	// Warm provisioning outside the timer.
-	if _, err := Run(context.Background(), Config{Addr: ts.URL, Concurrency: 4, MaxOps: 8, Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	rep, err := Run(context.Background(), Config{
-		Addr:        ts.URL,
-		Concurrency: 4,
-		MaxOps:      int64(b.N),
-		Seed:        1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if rep.TotalErrors != 0 {
-		b.Fatalf("errors under load:\n%s", rep.Table())
-	}
-	perSec := float64(rep.TotalOps) / rep.Elapsed.Seconds()
-	b.ReportMetric(perSec, "mixedops/s")
-	if cs, ok := rep.Classes["check"]; ok && cs.Ops > 0 {
-		b.ReportMetric(float64(cs.P99.Microseconds()), "check-p99-µs")
-	}
-	if cs, ok := rep.Classes["ingest"]; ok && cs.Ops > 0 {
-		b.ReportMetric(float64(cs.P99.Microseconds()), "ingest-p99-µs")
-	}
-}
-
 // TestLoadgenFaults runs the self-hosted fault mode: journal faults
 // must actually fire, the post-run crash-recovery check must pass, and
 // injected failures must show up in the per-class code breakdown
@@ -186,34 +153,5 @@ func TestLoadgenFaultsValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Config{Faults: 0.1, Addr: "http://x", MaxOps: 1}); err == nil {
 		t.Fatal("fault mode with an external address accepted")
-	}
-}
-
-// BenchmarkLoadgenFaults measures mixed-traffic throughput with 5%
-// injected journal faults: the self-hosted fault mode end to end,
-// crash-recovery check included. benchjson records it in the "chaos"
-// run; the custom metrics are the error-class mix under faults.
-func BenchmarkLoadgenFaults(b *testing.B) {
-	rep, err := Run(context.Background(), Config{
-		Faults:      0.05,
-		Concurrency: 4,
-		MaxOps:      int64(b.N),
-		Seed:        1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rep.TotalOps)/rep.Elapsed.Seconds(), "mixedops/s")
-	b.ReportMetric(float64(rep.FaultsInjected)/float64(b.N), "faults/op")
-	b.ReportMetric(float64(rep.TotalErrors)/float64(b.N), "errors/op")
-	codes := map[string]int64{}
-	for _, cs := range rep.Classes {
-		for code, n := range cs.Codes {
-			codes[code] += n
-		}
-	}
-	for code, n := range codes {
-		b.ReportMetric(float64(n)/float64(b.N), "err-"+code+"/op")
 	}
 }

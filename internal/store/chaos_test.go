@@ -226,51 +226,3 @@ func chaosSoakEpisode(t *testing.T, sc *scenario.Scenario, epi int, ep scenario.
 	defer recovered.Close()
 	assertStoresEqual(t, s, recovered)
 }
-
-// BenchmarkChaosSoak measures journaled mutation throughput with 5%
-// append faults armed and client-style retries — the price of running
-// under fire. faults/op reports the injected-failure mix.
-func BenchmarkChaosSoak(b *testing.B) {
-	scs, err := scenario.All()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := scs[0]
-	dir := b.TempDir()
-	s, err := Open(WithJournal(dir), WithShards(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Create(ctx, sc.Name, sc.SyncOps); err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range sc.Parties {
-		if _, err := s.RegisterParty(ctx, sc.Name, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := fault.ArmSpec(fault.PointJournalAppendWrite + "=p:0.05"); err != nil {
-		b.Fatal(err)
-	}
-	defer fault.DisarmAll()
-
-	party := sc.Parties[0].Owner
-	var injected uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst := []instance.Instance{{ID: fmt.Sprintf("bench-%d", i)}}
-		for {
-			err := s.AddInstances(ctx, sc.Name, party, inst)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				b.Fatal(err)
-			}
-			injected++
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(injected)/float64(b.N), "faults/op")
-}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/tools/choreolint/passes"
 )
 
 // buildTool compiles the choreolint binary into a temp dir and
@@ -37,21 +41,49 @@ func goVet(bin, root string, args ...string) (string, error) {
 }
 
 // TestVettoolProtocol builds the binary and drives it through the
-// real `go vet -vettool` JSON protocol — the exact shape CI runs —
-// against a seeded-violation fixture (must fail with choreolint
-// findings) and against a clean production package (must pass).
+// real `go vet -vettool` JSON protocol — the exact shape CI runs.
+// Every pass's seeded-violation fixture must fail with one finding of
+// that pass per `// want` comment, so an analyzer dropped from
+// passes.All() fails here; a clean production package must pass.
 func TestVettoolProtocol(t *testing.T) {
 	bin, root := buildTool(t)
 
-	out, err := goVet(bin, root, "./tools/choreolint/testdata/src/lockorder/")
-	if err == nil {
-		t.Fatalf("vet on the lockorder fixture passed; want findings\n%s", out)
+	fixtures := []string{
+		"ctxfirst", "errenvelope", "faultpoint", "lockheldio",
+		"lockorder", "replaydeterminism", "snapshotimmut", "walexhaustive",
 	}
-	if !strings.Contains(out, "[choreolint/lockorder]") {
-		t.Fatalf("vet on the lockorder fixture failed without a lockorder finding:\n%s", out)
+	for _, a := range passes.All() {
+		if !slices.Contains(fixtures, a.Name) {
+			t.Errorf("analyzer %s has no fixture in this table", a.Name)
+		}
+	}
+	for _, pass := range fixtures {
+		t.Run(pass, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", pass)
+			files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("no fixture files in %s: %v", dir, err)
+			}
+			wants := 0
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wants += strings.Count(string(src), "// want ")
+			}
+			out, err := goVet(bin, root, "./tools/choreolint/"+filepath.ToSlash(dir)+"/")
+			if err == nil {
+				t.Fatalf("vet on the %s fixture passed; want findings\n%s", pass, out)
+			}
+			if got := strings.Count(out, "[choreolint/"+pass+"]"); got != wants {
+				t.Fatalf("vet on the %s fixture printed %d %s findings, want %d (one per // want):\n%s",
+					pass, got, pass, wants, out)
+			}
+		})
 	}
 
-	out, err = goVet(bin, root, "./internal/journal/")
+	out, err := goVet(bin, root, "./internal/journal/")
 	if err != nil {
 		t.Fatalf("vet on internal/journal failed: %v\n%s", err, out)
 	}
