@@ -2,11 +2,11 @@ package fault
 
 // The failpoint catalog: every failpoint name in the repository,
 // declared exactly once. The package owning the call site registers
-// the point with New(fault.Point...), arming sites pass the same
-// constant to Arm, and the faultpoint choreolint pass checks both —
-// a New or Arm whose name is computed, duplicated, or absent from
-// this catalog is a lint failure. docs/resilience.md documents what
-// each point interrupts.
+// the point with New(fault.Point...) and arming sites pass the same
+// constant to Arm. internal/journal's TestFaultCatalogRegistered
+// requires the registered names to equal this catalog, so a typo or
+// an uncataloged point fails the tests. docs/resilience.md documents
+// what each point interrupts.
 const (
 	// Journal open path (journal.Open).
 	PointJournalOpenMkdir    = "journal.open.mkdir"

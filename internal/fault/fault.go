@@ -9,10 +9,10 @@
 //
 // Every failpoint name is declared once in the catalog (catalog.go)
 // and registered exactly once with New by the package that owns the
-// call site. Names are compile-time string constants — the faultpoint
-// choreolint pass rejects computed names, duplicate registrations and
-// arming a name outside the catalog; New panics on a duplicate at
-// runtime as the global backstop.
+// call site. New panics on a duplicate name, Arm rejects a name nobody
+// registered, and internal/journal's TestFaultCatalogRegistered (the
+// journal is the only package that registers points) requires its
+// registrations to equal the catalog.
 //
 // A disarmed point costs one atomic pointer load. An armed point
 // consults its trigger: fire always, with probability p (seeded,
@@ -84,10 +84,9 @@ var (
 	registry = map[string]*Point{}
 )
 
-// New registers a failpoint. It panics on a duplicate name — the
-// runtime backstop behind the faultpoint lint's per-package
-// uniqueness check — and arms the point immediately when CHOREO_FAULTS
-// names it.
+// New registers a failpoint. It panics on a duplicate name, which
+// fails the owning package's tests at init, and arms the point
+// immediately when CHOREO_FAULTS names it.
 func New(name string) *Point {
 	if name == "" {
 		panic("fault: empty failpoint name")
@@ -190,8 +189,7 @@ func lookup(name string) (*Point, error) {
 }
 
 // Arm arms a registered point by catalog name; arming an unregistered
-// name is an error (and, at call sites with a constant name, a
-// faultpoint lint failure).
+// name is an error.
 func Arm(name string, t Trigger) error {
 	p, err := lookup(name)
 	if err != nil {

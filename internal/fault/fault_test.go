@@ -131,21 +131,3 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	New("test.dup")
 }
-
-func TestCatalogRegistered(t *testing.T) {
-	// The journal package registers the whole journal.* catalog at
-	// init; importing fault alone must not (points belong to their
-	// owners), so only assert the catalog constants are distinct.
-	names := map[string]bool{}
-	for _, n := range []string{
-		PointJournalOpenMkdir, PointJournalOpenSnapshot, PointJournalOpenWAL,
-		PointJournalAppendWrite, PointJournalAppendSync, PointJournalWALTruncate,
-		PointJournalCheckpointTmp, PointJournalCheckpointWrite,
-		PointJournalCheckpointSync, PointJournalCheckpointRename,
-	} {
-		if names[n] {
-			t.Fatalf("catalog name %q duplicated", n)
-		}
-		names[n] = true
-	}
-}

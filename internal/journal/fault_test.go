@@ -4,12 +4,57 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 )
+
+// TestFaultCatalogRegistered pins the failpoint namespace. This is
+// the only package that registers points, so its test binary holds
+// exactly its registrations: they must equal the catalog's Point*
+// constants (internal/fault/catalog.go), which catches a misspelled
+// or uncataloged name and a catalog entry nobody registers. A
+// duplicate registration panics in fault.New before any test runs.
+func TestFaultCatalogRegistered(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "fault", "catalog.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var catalog []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !strings.HasPrefix(name.Name, "Point") || !ok || lit.Kind != token.STRING {
+					continue
+				}
+				value, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				catalog = append(catalog, value)
+			}
+		}
+	}
+	sort.Strings(catalog)
+	if got := fault.Names(); !slices.Equal(got, catalog) {
+		t.Fatalf("registered failpoints %q, want the catalog %q", got, catalog)
+	}
+}
 
 // armed arms one point for the test's duration.
 func armed(t *testing.T, p *fault.Point, tr fault.Trigger) {

@@ -174,7 +174,7 @@ func TestResponseTooLargeError(t *testing.T) {
 		// A syntactically valid JSON object bigger than the cap: only
 		// the cap detection can explain the failure.
 		fmt.Fprintf(w, `{"id": %q, "version": 1, "parties": []}`,
-			strings.Repeat("x", maxResponseBytes))
+			strings.Repeat("x", maxBodyBytes))
 	}))
 	defer huge.Close()
 	c := NewClient(huge.URL, huge.Client())
@@ -186,7 +186,7 @@ func TestResponseTooLargeError(t *testing.T) {
 	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"id": %q, "version": 1, "parties": []}`,
-			strings.Repeat("x", maxResponseBytes-64))
+			strings.Repeat("x", maxBodyBytes-64))
 	}))
 	defer ok.Close()
 	c2 := NewClient(ok.URL, ok.Client())

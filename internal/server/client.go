@@ -131,16 +131,10 @@ func newIdempotencyKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// maxResponseBytes caps how much of a response body the client reads —
-// a misbehaving server cannot make the client buffer unbounded data.
-// A response that hits the cap fails with ErrResponseTooLarge instead
-// of surfacing as an opaque JSON decode error on the truncated body.
-const maxResponseBytes = 8 << 20
-
 // ErrResponseTooLarge reports a response body that exceeded the
-// client's maxResponseBytes cap. The decode failure it would
-// otherwise masquerade as is attached as context; test with
-// errors.Is.
+// maxBodyBytes cap, instead of an opaque JSON decode error on the
+// truncated body. The decode failure it would otherwise masquerade as
+// is attached as context; test with errors.Is.
 var ErrResponseTooLarge = errors.New("server: response exceeds client limit")
 
 // NewClient returns a client for the service at base (e.g.
@@ -232,7 +226,7 @@ func (c *Client) doKeyed(ctx context.Context, method, path string, ifMatch *uint
 
 // roundTrip runs one attempt. The response body is always drained and
 // closed so keep-alive connections return to the pool, and reads are
-// capped at maxResponseBytes.
+// capped at maxBodyBytes.
 func (c *Client) roundTrip(ctx context.Context, method, path string, ifMatch *uint64, key string, data []byte, hasBody bool, out any) (version uint64, err error) {
 	var body io.Reader
 	if hasBody {
@@ -258,13 +252,13 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, ifMatch *ui
 	defer func() {
 		// Drain whatever the decoder left so the connection is reusable,
 		// but never more than the response cap.
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
 		resp.Body.Close()
 	}()
 	// One extra byte past the cap distinguishes "body is exactly the
 	// cap" from "body was truncated at the cap": only a decode that
 	// consumed the sentinel byte can have been cut short.
-	limited := &io.LimitedReader{R: resp.Body, N: maxResponseBytes + 1}
+	limited := &io.LimitedReader{R: resp.Body, N: maxBodyBytes + 1}
 	if etag := strings.Trim(resp.Header.Get("ETag"), `"`); etag != "" {
 		version, _ = strconv.ParseUint(etag, 10, 64)
 	}
@@ -281,7 +275,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, ifMatch *ui
 	}
 	if derr := json.NewDecoder(limited).Decode(out); derr != nil {
 		if limited.N <= 0 {
-			return version, fmt.Errorf("%w (%d bytes): %v", ErrResponseTooLarge, maxResponseBytes, derr)
+			return version, fmt.Errorf("%w (%d bytes): %v", ErrResponseTooLarge, maxBodyBytes, derr)
 		}
 		return version, derr
 	}

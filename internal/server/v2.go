@@ -117,7 +117,7 @@ func (s *Server) v2Readyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) v2Create(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -173,7 +173,7 @@ func (s *Server) v2Delete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2RegisterParty(w http.ResponseWriter, r *http.Request) {
 	var req PartyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -202,7 +202,7 @@ func (s *Server) v2RegisterParty(w http.ResponseWriter, r *http.Request) {
 // one version bump.
 func (s *Server) v2BatchParties(w http.ResponseWriter, r *http.Request) {
 	var req BatchPartiesRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -265,7 +265,7 @@ func (s *Server) v2GetParty(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2UpdateParty(w http.ResponseWriter, r *http.Request) {
 	var req PartyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -334,7 +334,7 @@ func (s *Server) v2Check(w http.ResponseWriter, r *http.Request) {
 // rest of the batch.
 func (s *Server) v2BatchCheck(w http.ResponseWriter, r *http.Request) {
 	var req BatchCheckRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -368,7 +368,7 @@ func (s *Server) v2BatchCheck(w http.ResponseWriter, r *http.Request) {
 // analysis already minted for it instead of registering a duplicate.
 func (s *Server) v2Evolve(w http.ResponseWriter, r *http.Request) {
 	var req EvolveOpsRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -457,7 +457,7 @@ func (s *Server) v2Apply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ApplyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -472,7 +472,7 @@ func (s *Server) v2Apply(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Instances(w http.ResponseWriter, r *http.Request) {
 	var req InstancesRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -497,7 +497,7 @@ const maxIngestBatch = 1024
 // and the client resubmits the identical batch after backing off.
 func (s *Server) v2IngestEvents(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -528,7 +528,7 @@ func (s *Server) v2IngestEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Migrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -548,7 +548,7 @@ func (s *Server) v2Migrate(w http.ResponseWriter, r *http.Request) {
 // (200) without re-sweeping.
 func (s *Server) v2StartMigration(w http.ResponseWriter, r *http.Request) {
 	var req MigrationStartRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -668,7 +668,7 @@ const cancelSettleTimeout = 500 * time.Millisecond
 
 func (s *Server) v2Publish(w http.ResponseWriter, r *http.Request) {
 	var req PublishRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -682,7 +682,7 @@ func (s *Server) v2Publish(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Match(w http.ResponseWriter, r *http.Request) {
 	var req MatchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}

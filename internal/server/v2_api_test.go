@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -54,6 +55,11 @@ func TestV2ErrorEnvelopeCodes(t *testing.T) {
 	if !ErrIs(err, CodeInvalidArgument) || ErrIs(err, CodeNotFound) {
 		t.Fatalf("ErrIs misclassified %v", err)
 	}
+
+	// 413 payload_too_large: a raw body one byte past the cap.
+	huge := append([]byte(`{"id":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)[:maxBodyBytes+1]
+	_, err = c.roundTrip(ctx, "POST", "/v2/choreographies", nil, "", huge, true, nil)
+	wantCode(t, err, 413, CodePayloadTooLarge)
 }
 
 // TestV2StaleIfMatch pins the optimistic-concurrency contract: a

@@ -218,6 +218,7 @@ const (
 	CodeAlreadyExists     = "already_exists"     // 409
 	CodeConflict          = "conflict"           // 409
 	CodeStaleVersion      = "stale_version"      // 412
+	CodePayloadTooLarge   = "payload_too_large"  // 413 (request body past maxBodyBytes)
 	CodeResourceExhausted = "resource_exhausted" // 429 (backpressure; details carry retryAfter seconds)
 	CodeCancelled         = "cancelled"          // 503
 	CodeUnavailable       = "unavailable"        // 503 (degraded read-only store, or shutting down)
@@ -386,6 +387,8 @@ var (
 	// errStale marks an optimistic-concurrency failure surfaced through
 	// ETag/If-Match on /v2/: the caller's snapshot version is outdated.
 	errStale = errors.New("stale version")
+	// errTooLarge marks a request body past maxBodyBytes.
+	errTooLarge = errors.New("payload too large")
 )
 
 func badRequest(format string, args ...any) error {
@@ -405,6 +408,8 @@ func envelope(err error) (int, ErrorEnvelope) {
 		status, env.Code = http.StatusTooManyRequests, CodeResourceExhausted
 	case errors.Is(err, errStale):
 		status, env.Code = http.StatusPreconditionFailed, CodeStaleVersion
+	case errors.Is(err, errTooLarge):
+		status, env.Code = http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 	case errors.Is(err, store.ErrNotFound):
 		status, env.Code = http.StatusNotFound, CodeNotFound
 	case errors.Is(err, store.ErrExists):
@@ -441,10 +446,22 @@ func writeErrorV2(w http.ResponseWriter, err error) {
 	writeJSON(w, status, env)
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a JSON body in either direction: decode answers a
+// larger request body with 413 payload_too_large, and the client reads
+// no more of a response, so a misbehaving peer cannot make either side
+// buffer unbounded data.
+const maxBodyBytes = 8 << 20
+
+// decode reads the request's JSON body into v, refusing unknown fields
+// and any body past maxBodyBytes.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: request body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+		}
 		return badRequest("decoding body: %v", err)
 	}
 	return nil

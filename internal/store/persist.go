@@ -193,13 +193,11 @@ func (s *Store) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 // ---- record encoding ----
 
 // walRecord is the journal's record envelope: exactly one field set.
-// The //choreolint:union marker makes the walexhaustive analyzer
-// reject any nil-dispatch over this struct (replay's switch below)
-// that does not cover every exported pointer field — adding a record
-// type without teaching replay about it is a lint failure, not a
-// silently dropped mutation on the next recovery.
-//
-//choreolint:union
+// Adding a record type without teaching replay about it must fail a
+// test, not silently drop a mutation on the next recovery:
+// TestReplayCoversEveryRecord replays each field on its own and
+// requires replay's switch to dispatch it, and a record with no field
+// to reach the empty-record error.
 type walRecord struct {
 	Create    *recCreate    `json:"create,omitempty"`
 	Delete    *recDelete    `json:"delete,omitempty"`
@@ -572,11 +570,10 @@ func persistChoreo(e *entry) (persistedChoreo, error) {
 // ---- recovery ----
 
 // restoreSnapshot loads a checkpoint into the (still empty,
-// single-goroutine) store. Like replay, it is a replaydeterminism
-// root: restoring the same checkpoint twice must build identical
-// state.
-//
-//choreolint:replay
+// single-goroutine) store. Like replay, it must be deterministic:
+// restoring the same checkpoint twice builds identical state, down to
+// the job retention order (migOrder), which the recovery tests'
+// assertJobsEqual compares with the live store's.
 func (s *Store) restoreSnapshot(data []byte) error {
 	var ps persistedStore
 	if err := json.Unmarshal(data, &ps); err != nil {
@@ -588,6 +585,9 @@ func (s *Store) restoreSnapshot(data []byte) error {
 		}
 	}
 	for _, st := range ps.Jobs {
+		if len(st.Done) != instShardCount {
+			return fmt.Errorf("store: checkpointed migration job %q: %d shards, want %d", st.ID, len(st.Done), instShardCount)
+		}
 		s.migs[st.ID] = migrate.RestoreJob(st)
 		s.migOrder = append(s.migOrder, st.ID)
 	}
@@ -649,13 +649,12 @@ func (s *Store) restoreChoreo(pc persistedChoreo) error {
 }
 
 // replay applies one WAL record. Replay runs single-goroutine on a
-// store nobody else can see, before journaling starts. The
-// //choreolint:replay marker roots the replaydeterminism analyzer
-// here: nothing reachable below may consult the clock, randomness, or
-// map iteration order — recovery must be a pure function of the
-// journaled facts.
-//
-//choreolint:replay
+// store nobody else can see, before journaling starts. Nothing below
+// may consult the clock, randomness, or map iteration order —
+// recovery must be a pure function of the journaled facts.
+// TestRecoverRandomOps, TestCorpusRecovery and TestChaosSoak compare
+// every recovered store with its live twin in depth, so any such
+// leak shows up as a recovery mismatch.
 func (s *Store) replay(data []byte) error {
 	var rec walRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -806,6 +805,9 @@ func (s *Store) applyMigJob(rec *recMigJob) error {
 	if _, ok := s.migs[rec.Job]; ok {
 		return nil
 	}
+	if rec.Shards != instShardCount {
+		return fmt.Errorf("migration job %q: %d shards, want %d", rec.Job, rec.Shards, instShardCount)
+	}
 	job := migrate.RestoreJob(migrate.JobState{
 		ID:            rec.Job,
 		Choreography:  rec.ID,
@@ -852,10 +854,10 @@ func (s *Store) applyIdem(rec *recIdem) error {
 // applyMigShard re-applies one swept shard: its tag advances (absent
 // in older logs, whose recMigTags carried them), then its fold.
 func (s *Store) applyMigShard(rec *recMigShard) error {
+	if rec.Shard < 0 || rec.Shard >= instShardCount {
+		return fmt.Errorf("migration shard for job %q: shard %d out of range", rec.Job, rec.Shard)
+	}
 	if len(rec.Tags) > 0 {
-		if rec.Shard < 0 || rec.Shard >= instShardCount {
-			return fmt.Errorf("migration shard for %q: shard %d out of range", rec.ID, rec.Shard)
-		}
 		if e, err := s.entry(rec.ID); err == nil { // else raced a delete
 			sh := &e.inst[rec.Shard]
 			sh.mu.Lock()

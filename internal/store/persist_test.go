@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -65,7 +66,7 @@ func instLayout(e *entry) []instKey {
 // choreographies, snapshot and party versions, private processes,
 // public automata (language + annotations), interacting pairs,
 // consistency results, instance records with their schema tags and
-// shard slots, and migration-job states.
+// shard slots, and migration-job states with their retention order.
 func assertStoresEqual(t *testing.T, want, got *Store) {
 	t.Helper()
 	wantIDs, err := want.IDs(ctx)
@@ -158,10 +159,14 @@ func assertStoresEqual(t *testing.T, want, got *Store) {
 
 func assertJobsEqual(t *testing.T, want, got *Store) {
 	t.Helper()
-	wjobs := jobStates(want)
-	gjobs := jobStates(got)
+	wjobs, worder := jobStates(want)
+	gjobs, gorder := jobStates(got)
 	if len(wjobs) != len(gjobs) {
 		t.Fatalf("recovered %d migration jobs, want %d", len(gjobs), len(wjobs))
+	}
+	// migOrder decides which job retention evicts next.
+	if fmt.Sprint(gorder) != fmt.Sprint(worder) {
+		t.Fatalf("recovered job retention order %v, want %v", gorder, worder)
 	}
 	for id, w := range wjobs {
 		g, ok := gjobs[id]
@@ -186,14 +191,16 @@ func assertJobsEqual(t *testing.T, want, got *Store) {
 	}
 }
 
-func jobStates(s *Store) map[string]migrate.JobState {
+// jobStates returns s's migration jobs by ID and their retention
+// order.
+func jobStates(s *Store) (map[string]migrate.JobState, []string) {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	out := make(map[string]migrate.JobState, len(s.migs))
 	for id, job := range s.migs {
 		out[id] = job.State()
 	}
-	return out
+	return out, append([]string(nil), s.migOrder...)
 }
 
 func sortStranded(sts []migrate.Stranded) {
@@ -630,6 +637,101 @@ func TestRecoverLegacyMigrationRecords(t *testing.T) {
 		t.Fatalf("live sweep = %+v, want done with stranded instances", v)
 	}
 	assertStoresEqual(t, live, recovered)
+}
+
+// TestReplayCoversEveryRecord pins replay's dispatch over walRecord:
+// a record carrying only one field, set to its zero value, must reach
+// that field's arm rather than the empty-record error a record type
+// without an arm falls into, and a record with no field set must get
+// that error. Each record replays into a fresh store, so the arms are
+// checked independently.
+func TestReplayCoversEveryRecord(t *testing.T) {
+	isEmpty := func(err error) bool { return err != nil && err.Error() == "empty record" }
+	if err := New().replay([]byte(`{}`)); !isEmpty(err) {
+		t.Fatalf("replay of a record with no field = %v, want the empty-record error", err)
+	}
+	rt := reflect.TypeOf(walRecord{})
+	for i := range rt.NumField() {
+		f := rt.Field(i)
+		if !f.IsExported() || f.Type.Kind() != reflect.Pointer {
+			continue
+		}
+		var rec walRecord
+		reflect.ValueOf(&rec).Elem().Field(i).Set(reflect.New(f.Type.Elem()))
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := New().replay(data); isEmpty(err) {
+			t.Errorf("replay drops a %s record as empty: %s", f.Name, data)
+		}
+	}
+}
+
+// TestRecoverRejectsOutOfRangeMigration pins that a CRC-valid journal
+// whose migration records do not fit the store's fixed instance-shard
+// fan-out fails Open with an error instead of panicking when the fold
+// indexes the job's shard checkpoint.
+func TestRecoverRejectsOutOfRangeMigration(t *testing.T) {
+	const jobID = "mig-c-1"
+	create := walRecord{Create: &recCreate{ID: "c"}}
+	job := func(shards int) walRecord {
+		return walRecord{MigJob: &recMigJob{Job: jobID, ID: "c", Version: 1, Shards: shards}}
+	}
+	fold := func(shard int) walRecord { return walRecord{MigShard: &recMigShard{Job: jobID, Shard: shard}} }
+	for _, tc := range []struct {
+		name     string
+		snapshot *persistedStore
+		recs     []walRecord
+	}{
+		{name: "shard past the fan-out", recs: []walRecord{create, job(instShardCount), fold(instShardCount)}},
+		{name: "negative shard", recs: []walRecord{create, job(instShardCount), fold(-1)}},
+		{name: "job shard count", recs: []walRecord{create, job(instShardCount + 1), fold(instShardCount)}},
+		{
+			name:     "checkpointed job shard count",
+			snapshot: &persistedStore{Jobs: []migrate.JobState{{ID: jobID, Choreography: "c", Done: make([]bool, 3)}}},
+			recs:     []walRecord{fold(3)},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jnl, _, _, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.snapshot != nil {
+				data, err := json.Marshal(tc.snapshot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := jnl.Checkpoint(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, rec := range tc.recs {
+				data, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := jnl.Append(data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := jnl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Open panicked: %v", r)
+				}
+			}()
+			s, err := Open(WithJournal(dir))
+			if err == nil {
+				s.Close()
+				t.Fatal("Open recovered the journal; want an out-of-range error")
+			}
+		})
+	}
 }
 
 // TestTornInstanceRecordDiscarded is the focused torn-tail test of

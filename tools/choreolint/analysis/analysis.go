@@ -4,10 +4,10 @@
 // golang.org/x/tools/go/analysis — Name/Doc/Run, a Pass carrying the
 // package and its type information, Reportf — but is self-contained on
 // the standard library, because this module deliberately has no
-// external dependencies. Drivers (the vettool protocol in package main,
-// the checktest fixture harness) load and type-check packages, run the
-// analyzers, and apply the //lint:ignore suppression pass (see
-// directive.go) before surfacing diagnostics.
+// external dependencies. The driver (the vettool protocol in package
+// main) loads and type-checks packages, runs the analyzers, and applies
+// the //lint:ignore suppression pass (see directive.go) before
+// surfacing diagnostics.
 package analysis
 
 import (
@@ -106,18 +106,6 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 		}
 	})
 	return out, nil
-}
-
-// Preorder walks every node of every file in depth-first preorder.
-func Preorder(files []*ast.File, f func(ast.Node)) {
-	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n != nil {
-				f(n)
-			}
-			return true
-		})
-	}
 }
 
 // CalleeOf resolves the object a call expression invokes, unwrapping

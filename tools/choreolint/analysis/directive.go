@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -29,12 +28,10 @@ import (
 // The directive names one analyzer (with or without the "choreolint/"
 // prefix), a comma-separated list, or "*" for all, and must carry a
 // reason — a bare //lint:ignore is itself ignored, so suppressions
-// stay justified. Marker directives (//choreolint:union,
-// //choreolint:replay, //choreolint:frozen, //choreolint:builder,
-// //choreolint:hotlock, //choreolint:allocfree) are the opposite: they
-// opt declarations into a check; analyzers read them through
-// UnionStructs, MarkedFuncs, MarkedFields and the summary engine's
-// marker tables.
+// stay justified. Marker directives (//choreolint:frozen,
+// //choreolint:builder, //choreolint:hotlock, //choreolint:allocfree)
+// are the opposite: they opt declarations into a check; analyzers read
+// them through the summary engine's marker tables.
 
 // ignoreRange is one directive's coverage: the line span it silences
 // and the analyzers it names.
@@ -147,89 +144,4 @@ func (s ignoreSet) suppresses(posn token.Position, analyzer string) bool {
 		}
 	}
 	return false
-}
-
-// hasMarker reports whether the doc comment carries //choreolint:<marker>.
-func hasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == "//choreolint:"+marker {
-			return true
-		}
-	}
-	return false
-}
-
-// UnionStructs returns the struct types declared in the package whose
-// doc comment carries //choreolint:union — closed unions whose
-// nil-dispatch switches walexhaustive keeps exhaustive.
-func UnionStructs(pass *Pass) map[*ast.TypeSpec]*ast.StructType {
-	out := map[*ast.TypeSpec]*ast.StructType{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				if hasMarker(ts.Doc, "union") || (len(gd.Specs) == 1 && hasMarker(gd.Doc, "union")) {
-					out[ts] = st
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MarkedFuncs returns the function declarations whose doc comment
-// carries //choreolint:<marker> (for example the replay roots of
-// replaydeterminism).
-func MarkedFuncs(pass *Pass, marker string) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && hasMarker(fd.Doc, marker) {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}
-
-// MarkedFields returns the struct fields whose doc or trailing comment
-// carries //choreolint:<marker> (for example the hot mutexes lockheldio
-// tracks), as their variable objects so same-named fields on different
-// structs stay distinct.
-func MarkedFields(pass *Pass, marker string) map[*types.Var]bool {
-	out := map[*types.Var]bool{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if !hasMarker(field.Doc, marker) && !hasMarker(field.Comment, marker) {
-					continue
-				}
-				for _, name := range field.Names {
-					if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-						out[v] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
 }

@@ -6,31 +6,24 @@ import (
 )
 
 // Graph is the static intra-package call graph: declared functions and
-// methods, the same-package functions each one calls directly, and an
-// over-approximation of its indirect callees (method values taken,
-// same-package implementations of interface methods it calls).
+// methods and the same-package functions each one calls directly.
 // Function literals are attributed to the declaration they appear in:
 // a goroutine or closure body inside f counts as f's calls, the
-// conservative direction for every check built on the graph.
+// conservative direction for every check built on the graph. Calls
+// through an interface resolve with Implementers.
 type Graph struct {
 	// Decls maps each declared function object to its syntax.
 	Decls map[*types.Func]*ast.FuncDecl
 	// Calls maps each declared function to the distinct same-package
 	// functions it calls directly (only those with a declaration).
 	Calls map[*types.Func][]*types.Func
-	// Approx maps each declared function to same-package functions it
-	// may call indirectly: functions and methods whose value it takes
-	// (a method value passed as a callback may be invoked), and
-	// declared methods implementing an interface method it calls.
-	Approx map[*types.Func][]*types.Func
 }
 
 // BuildGraph constructs the package's call graph from its files.
 func BuildGraph(files []*ast.File, info *types.Info) *Graph {
 	g := &Graph{
-		Decls:  map[*types.Func]*ast.FuncDecl{},
-		Calls:  map[*types.Func][]*types.Func{},
-		Approx: map[*types.Func][]*types.Func{},
+		Decls: map[*types.Func]*ast.FuncDecl{},
+		Calls: map[*types.Func][]*types.Func{},
 	}
 	for _, file := range files {
 		for _, decl := range file.Decls {
@@ -43,25 +36,8 @@ func BuildGraph(files []*ast.File, info *types.Info) *Graph {
 			}
 		}
 	}
-	// Declared methods by name, for the interface-callee approximation.
-	methodsByName := map[string][]*types.Func{}
-	for fn := range g.Decls {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			methodsByName[fn.Name()] = append(methodsByName[fn.Name()], fn)
-		}
-	}
 	for fn, fd := range g.Decls {
-		seenCall := map[*types.Func]bool{}
-		seenApprox := map[*types.Func]bool{}
-		addApprox := func(callee *types.Func) {
-			if _, declared := g.Decls[callee]; declared && !seenApprox[callee] {
-				seenApprox[callee] = true
-				g.Approx[fn] = append(g.Approx[fn], callee)
-			}
-		}
-		// Identifiers consumed as direct callees; every other use of a
-		// declared function's identifier is a value reference.
-		calleeIdents := map[*ast.Ident]bool{}
+		seen := map[*types.Func]bool{}
 		ast.Inspect(fd, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -76,40 +52,14 @@ func BuildGraph(files []*ast.File, info *types.Info) *Graph {
 			default:
 				return true
 			}
-			calleeIdents[id] = true
 			callee, ok := info.Uses[id].(*types.Func)
 			if !ok {
 				return true
 			}
 			callee = callee.Origin()
-			if recv := callee.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				// Interface method call: approximate with every declared
-				// same-package method of that name whose receiver type
-				// implements the interface.
-				iface, _ := recv.Type().Underlying().(*types.Interface)
-				if iface != nil {
-					for _, m := range methodsByName[callee.Name()] {
-						rt := m.Type().(*types.Signature).Recv().Type()
-						if types.Implements(rt, iface) || types.Implements(types.NewPointer(rt), iface) {
-							addApprox(m)
-						}
-					}
-				}
-				return true
-			}
-			if _, declared := g.Decls[callee]; declared && !seenCall[callee] {
-				seenCall[callee] = true
+			if _, declared := g.Decls[callee]; declared && !seen[callee] {
+				seen[callee] = true
 				g.Calls[fn] = append(g.Calls[fn], callee)
-			}
-			return true
-		})
-		ast.Inspect(fd, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || calleeIdents[id] {
-				return true
-			}
-			if ref, ok := info.Uses[id].(*types.Func); ok {
-				addApprox(ref.Origin())
 			}
 			return true
 		})
@@ -142,30 +92,4 @@ func (g *Graph) Implementers(ifaceMethod *types.Func) []*types.Func {
 		}
 	}
 	return out
-}
-
-// Reachable returns every function reachable from roots through
-// direct calls — and through the approximated indirect edges when
-// approx is set — including the roots themselves.
-func (g *Graph) Reachable(roots []*types.Func, approx bool) map[*types.Func]bool {
-	reached := map[*types.Func]bool{}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if reached[fn] {
-			return
-		}
-		reached[fn] = true
-		for _, callee := range g.Calls[fn] {
-			visit(callee)
-		}
-		if approx {
-			for _, callee := range g.Approx[fn] {
-				visit(callee)
-			}
-		}
-	}
-	for _, fn := range roots {
-		visit(fn)
-	}
-	return reached
 }

@@ -1,7 +1,7 @@
 // Package summary is choreolint's interprocedural engine: per-function
 // facts computed to a fixed point over the package's static call graph,
-// with method-value and interface-callee approximation, and exported
-// across package boundaries through the vet facts (vetx) protocol so a
+// with interface calls resolved to their same-package implementers, and
+// exported across package boundaries through the vet facts (vetx) protocol so a
 // cross-package call is not a blind spot.
 //
 // A pass contributes a Collector: a Scan function that computes one
@@ -105,7 +105,7 @@ type Collector struct {
 
 // An Importer resolves the exported summary file of a dependency
 // package. The vettool driver implements it over the PackageVetx file
-// map; fixture drivers may return nil for everything.
+// map.
 type Importer interface {
 	// Facts returns pkgPath's summary file, or nil when the package
 	// exports none (standard library, non-module dependencies).
@@ -143,8 +143,7 @@ type Context struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Graph     *Graph
-	// Imports resolves dependency summaries; nil means cross-package
-	// facts are unavailable (fixture harness).
+	// Imports resolves dependency summaries.
 	Imports Importer
 
 	// Cache is collector scratch space: Scan runs once per function
@@ -173,9 +172,6 @@ func TypeKey(obj *types.TypeName) string {
 
 // importedFile returns (and caches) the decoded summary of pkgPath.
 func (c *Context) importedFile(pkgPath string) *File {
-	if c.Imports == nil {
-		return nil
-	}
 	if f, ok := c.imported[pkgPath]; ok {
 		return f
 	}

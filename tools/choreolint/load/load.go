@@ -1,11 +1,9 @@
-// Package load parses and type-checks one package for analysis. Both
-// choreolint drivers go through it: the vettool protocol hands it the
-// file list and export-data map from the go command's JSON config, the
-// checktest fixture harness synthesizes the same inputs from
-// `go list -export -deps -json`. Imports are satisfied from compiled
-// export data (the gc importer with a lookup hook), never from source,
-// so loading a package costs one parse + one typecheck regardless of
-// how deep its import tree is.
+// Package load parses and type-checks one package for analysis. The
+// vettool driver hands it the file list and export-data map from the
+// go command's JSON config. Imports are satisfied from compiled export
+// data (the gc importer with a lookup hook), never from source, so
+// loading a package costs one parse + one typecheck regardless of how
+// deep its import tree is.
 package load
 
 import (

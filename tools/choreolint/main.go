@@ -1,6 +1,6 @@
 // Command choreolint is the repository's invariant linter: a suite of
-// static analyzers for the concurrency, durability, and wire contracts
-// the store's correctness depends on (see docs/lint.md for the
+// static analyzers for the concurrency and wire contracts the store's
+// correctness depends on (see docs/lint.md for the
 // catalog). It speaks the `go vet -vettool` protocol, so the go
 // command drives it package by package with full type information and
 // build caching:
@@ -64,21 +64,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("choreolint: ")
 	args := os.Args[1:]
-	// The go command forwards declared vet flags (today: -json) ahead
-	// of the unit's .cfg argument.
-	jsonOut := false
-	for len(args) > 0 {
-		switch arg := args[0]; {
-		case arg == "-json" || arg == "--json" || arg == "-json=true" || arg == "--json=true":
-			jsonOut = true
-			args = args[1:]
-		case arg == "-json=false" || arg == "--json=false":
-			args = args[1:]
-		default:
-			goto parsed
-		}
-	}
-parsed:
 	switch {
 	case len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full"):
 		printVersion()
@@ -87,9 +72,9 @@ parsed:
 	case len(args) >= 1 && args[0] == "help":
 		printHelp()
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(checkUnit(args[0], jsonOut))
+		os.Exit(checkUnit(args[0]))
 	case len(args) >= 1:
-		os.Exit(rerunUnderGoVet(args, jsonOut))
+		os.Exit(rerunUnderGoVet(args))
 	default:
 		printHelp()
 		os.Exit(2)
@@ -128,7 +113,6 @@ func printFlags() {
 	data, err := json.MarshalIndent([]jsonFlag{
 		{Name: "V", Bool: true, Usage: "print version and exit"},
 		{Name: "flags", Bool: true, Usage: "print analyzer flags in JSON"},
-		{Name: "json", Bool: true, Usage: "emit JSON output instead of text diagnostics"},
 	}, "", "\t")
 	if err != nil {
 		log.Fatal(err)
@@ -153,16 +137,12 @@ func printHelp() {
 
 // rerunUnderGoVet turns a direct `choreolint ./...` invocation into
 // the real thing: go vet drives this same binary as its vettool.
-func rerunUnderGoVet(args []string, jsonOut bool) int {
+func rerunUnderGoVet(args []string) int {
 	self, err := os.Executable()
 	if err != nil {
 		log.Fatal(err)
 	}
-	vetArgs := []string{"vet", "-vettool=" + self}
-	if jsonOut {
-		vetArgs = append(vetArgs, "-json")
-	}
-	cmd := exec.Command("go", append(vetArgs, args...)...)
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, args...)...)
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Run(); err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
@@ -174,9 +154,8 @@ func rerunUnderGoVet(args []string, jsonOut bool) int {
 }
 
 // checkUnit analyzes the single compilation unit described by the
-// config file, printing findings to stderr (or JSON to stdout); it
-// returns the process exit code (1 when findings exist, as go vet
-// expects; JSON mode always exits 0, mirroring unitchecker).
+// config file, printing findings to stderr; it returns the process
+// exit code (1 when findings exist, as go vet expects).
 //
 // Dependency units arrive with VetxOnly set: the go command wants
 // only the package's exported facts. For packages of this module the
@@ -184,7 +163,7 @@ func rerunUnderGoVet(args []string, jsonOut bool) int {
 // the channel that makes cross-package calls visible to the
 // interprocedural passes — while standard-library and external
 // dependencies get the empty facts file and stay on the fast path.
-func checkUnit(cfgFile string, jsonOut bool) int {
+func checkUnit(cfgFile string) int {
 	data, err := os.ReadFile(cfgFile)
 	if err != nil {
 		log.Fatal(err)
@@ -235,10 +214,6 @@ func checkUnit(cfgFile string, jsonOut bool) int {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if jsonOut {
-		printJSONDiags(&cfg, unit, diags)
-		return 0
-	}
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s [choreolint/%s]\n", unit.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
@@ -246,30 +221,6 @@ func checkUnit(cfgFile string, jsonOut bool) int {
 		return 1
 	}
 	return 0
-}
-
-// printJSONDiags emits the unitchecker JSON shape — import path →
-// analyzer → diagnostics — which `go vet -json` aggregates across
-// packages.
-func printJSONDiags(cfg *config, unit *load.Unit, diags []analysis.Diagnostic) {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := map[string][]jsonDiag{}
-	for _, d := range diags {
-		name := "choreolint/" + d.Analyzer
-		byAnalyzer[name] = append(byAnalyzer[name], jsonDiag{
-			Posn:    unit.Fset.Position(d.Pos).String(),
-			Message: d.Message,
-		})
-	}
-	data, err := json.MarshalIndent(map[string]map[string][]jsonDiag{cfg.ImportPath: byAnalyzer}, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-	os.Stdout.Write([]byte("\n"))
 }
 
 // vetxImporter resolves dependency summaries from the facts files the

@@ -3,13 +3,14 @@ package lockorder_test
 import (
 	"testing"
 
-	"repro/tools/choreolint/checktest"
-	"repro/tools/choreolint/passes/lockorder"
+	"repro/tools/choreolint/vetfixture"
 )
 
 // TestFixture runs the analyzer over its seeded-violation fixture
-// package and requires every want comment to be reported — the proof
-// that the analyzer catches the invariant breach it encodes.
+// package through `go vet -vettool` and diffs the findings against
+// the fixture's want comments: the proof that the analyzer catches
+// the invariant breach it encodes.
 func TestFixture(t *testing.T) {
-	checktest.Fixture(t, "lockorder", lockorder.Analyzer)
+	bin, root := vetfixture.Build(t)
+	vetfixture.Check(t, bin, root, "lockorder", "lockorder")
 }

@@ -8,24 +8,18 @@ import (
 	"repro/tools/choreolint/analysis/summary"
 	"repro/tools/choreolint/passes/ctxfirst"
 	"repro/tools/choreolint/passes/errenvelope"
-	"repro/tools/choreolint/passes/faultpoint"
 	"repro/tools/choreolint/passes/lockheldio"
 	"repro/tools/choreolint/passes/lockorder"
-	"repro/tools/choreolint/passes/replaydeterminism"
 	"repro/tools/choreolint/passes/snapshotimmut"
-	"repro/tools/choreolint/passes/walexhaustive"
 )
 
 // All returns the full suite in the order findings are most useful to
-// read: concurrency and durability first, then API conventions.
+// read: concurrency first, then API conventions.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockorder.Analyzer,
 		lockheldio.Analyzer,
 		snapshotimmut.Analyzer,
-		walexhaustive.Analyzer,
-		faultpoint.Analyzer,
-		replaydeterminism.Analyzer,
 		ctxfirst.Analyzer,
 		errenvelope.Analyzer,
 	}

@@ -3,14 +3,14 @@ package snapshotimmut_test
 import (
 	"testing"
 
-	"repro/tools/choreolint/checktest"
-	"repro/tools/choreolint/passes/snapshotimmut"
+	"repro/tools/choreolint/vetfixture"
 )
 
 // TestFixture runs the analyzer over its seeded-violation fixture
-// package and requires every want comment to be reported — the proof
-// that the analyzer catches direct, aliased, and call-chain writes to
-// frozen data while leaving builders and fresh construction alone.
+// package through `go vet -vettool` and diffs the findings against
+// the fixture's want comments: the proof that the analyzer catches
+// the invariant breach it encodes.
 func TestFixture(t *testing.T) {
-	checktest.Fixture(t, "snapshotimmut", snapshotimmut.Analyzer)
+	bin, root := vetfixture.Build(t)
+	vetfixture.Check(t, bin, root, "snapshotimmut", "snapshotimmut")
 }

@@ -3,7 +3,7 @@
 // constructor. None of its facts matter locally — the point is that
 // they travel to the importing package through the vetx summary file,
 // so this fixture is only meaningful when driven by `go vet` (see
-// TestCrossPackageFacts in the choreolint main package).
+// TestVettoolProtocol in the choreolint main package).
 package frozenlib
 
 // Table stands in for published immutable data.

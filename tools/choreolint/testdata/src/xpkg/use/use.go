@@ -1,10 +1,8 @@
 // Package use is the consumer half of the cross-package facts
 // fixture: every frozen marker, write-set fact, and returnsFresh bit
 // it depends on lives in frozenlib and reaches this package only
-// through the vetx summary channel. Driven by `go vet` from
-// TestCrossPackageFacts; the expected findings are pinned there, not
-// with want comments, because checktest loads single packages without
-// imported facts.
+// through the vetx summary channel, so the want comments below only
+// hold when TestVettoolProtocol drives both packages through `go vet`.
 package use
 
 import "repro/tools/choreolint/testdata/src/xpkg/frozenlib"
@@ -12,14 +10,14 @@ import "repro/tools/choreolint/testdata/src/xpkg/frozenlib"
 // BadDirect writes the imported frozen type in place — caught only if
 // frozenlib's frozen marker crossed the package boundary.
 func BadDirect() {
-	frozenlib.Shared().Rows["k"] = 1
+	frozenlib.Shared().Rows["k"] = 1 // want "write to .*frozenlib.Table"
 }
 
 // BadShared hands the published table to the imported writer — caught
 // only if frozenlib's write-set fact for Set crossed the package
 // boundary.
 func BadShared() {
-	frozenlib.Set(frozenlib.Shared(), "k", 1)
+	frozenlib.Set(frozenlib.Shared(), "k", 1) // want "call to Set writes .*frozenlib.Table"
 }
 
 // GoodFresh writes a table proven fresh by frozenlib's returnsFresh
