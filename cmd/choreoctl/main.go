@@ -46,6 +46,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -265,7 +266,7 @@ func runCheck(args []string) error {
 	}
 	fmt.Print(rep)
 	if !rep.Consistent() {
-		os.Exit(1)
+		return errors.New("check: choreography is not consistent")
 	}
 	return nil
 }
@@ -782,7 +783,7 @@ func runSimulate(args []string) error {
 	rate := sys.FailureRate(*seed, *walks, 1000)
 	fmt.Printf("random-walk failure rate (%d walks): %.2f%%\n", *walks, 100*rate)
 	if !res.DeadlockFree() {
-		os.Exit(1)
+		return fmt.Errorf("simulate: execution can fail (%d failures)", len(res.Failures))
 	}
 	return nil
 }

@@ -145,6 +145,29 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
+// TestCheckAndSimulateFailThroughError: check and simulate report an
+// inconsistent choreography as an error, which main turns into exit
+// status 1.
+func TestCheckAndSimulateFailThroughError(t *testing.T) {
+	const accNoDelivery = `
+<process name="accounting" owner="A">
+  <sequence name="acc process">
+    <receive name="order" partner="B" operation="orderOp"/>
+  </sequence>
+</process>`
+	buyer := writeFixture(t, "buyer.xml", buyerXML)
+	acc := writeFixture(t, "acc.xml", accXML)
+	broken := writeFixture(t, "acc_broken.xml", accNoDelivery)
+	for name, run := range map[string]func([]string) error{"check": runCheck, "simulate": runSimulate} {
+		if err := run([]string{"-in", buyer, "-in", acc}); err != nil {
+			t.Errorf("%s on the consistent pair: %v", name, err)
+		}
+		if err := run([]string{"-in", buyer, "-in", broken}); err == nil {
+			t.Errorf("%s accepted an accounting process that never delivers", name)
+		}
+	}
+}
+
 func TestParseOpSpec(t *testing.T) {
 	op, err := parseOpSpec(`{"kind":"setWhileCond","path":"Sequence:p/While:w","cond":"n < 3"}`)
 	if err != nil {

@@ -52,10 +52,13 @@
 //	// evo.Impacts[0].Classification → subtractive, variant
 //	// evo.Impacts[0].Suggestions    → how the client should adapt
 //
-// The runnable examples under examples/ walk through the paper's
-// procurement scenario end to end, including both propagation
-// scenarios (Secs. 5.2 and 5.3), service discovery and instance
-// migration.
+// The package's Example functions are checked by go test: the buyer's
+// public process and mapping table (Fig. 6, Table 1), an exhaustive
+// deadlock-free execution of the procurement scenario
+// (ExampleNewSystem), the Sec. 5.2 propagation with its buyer
+// adaptation (ExampleChoreography_AdaptPartner) and bulk instance
+// migration. "go run ./cmd/figures" prints the paper's Figs. 5–18,
+// both propagation scenarios (Secs. 5.2 and 5.3) included.
 //
 // # Service layer (choreod, API v2)
 //

@@ -86,6 +86,77 @@ func ExampleConsistent() {
 	// fig5 consistent: false
 }
 
+// ExampleNewSystem executes the paper's procurement choreography
+// (Sec. 2) exhaustively under the synchronous communication model:
+// bilaterally consistent public processes never deadlock (Sec. 3.2).
+func ExampleNewSystem() {
+	reg := choreo.PaperRegistry()
+	parties := map[string]*choreo.Automaton{}
+	for _, p := range []*choreo.Process{choreo.PaperBuyer(), choreo.PaperAccounting(), choreo.PaperLogistics()} {
+		pub, err := choreo.DerivePublic(p, reg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		parties[p.Owner] = pub.Automaton
+	}
+	sys, err := choreo.NewSystem(parties)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := sys.Explore(0)
+	fmt.Printf("global states: %d, completions: %d, deadlock free: %v\n",
+		res.States, res.Completions, res.DeadlockFree())
+	// Output:
+	// global states: 10, completions: 1, deadlock free: true
+}
+
+// ExampleChoreography_AdaptPartner replays the variant additive change
+// of Sec. 5.2 (Figs. 11–14): accounting adds an order cancellation,
+// the buyer's view changes in a way it cannot receive, and applying
+// the suggested buyer adaptation restores consistency.
+func ExampleChoreography_AdaptPartner() {
+	c, err := choreo.PaperScenario()
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := c.Evolve("A", choreo.PaperCancelChange())
+	if err != nil {
+		log.Fatal(err)
+	}
+	var buyer choreo.PartnerImpact
+	for _, im := range report.Impacts {
+		fmt.Printf("partner %s: view changed %v, %s, %s\n",
+			im.Partner, im.ViewChanged, im.Classification.Kind, im.Classification.Scope)
+		if im.Partner == "B" {
+			buyer = im
+		}
+	}
+	for _, s := range buyer.Suggestions {
+		fmt.Println("suggestion:", s)
+	}
+
+	newBuyer, _, err := c.AdaptPartner("B", choreo.ExecutableSuggestions(buyer.Suggestions))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := c.Commit(report); err != nil {
+		log.Fatal(err)
+	}
+	if err := c.CommitParty(newBuyer); err != nil {
+		log.Fatal(err)
+	}
+	check, err := c.Check()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("consistent after adaptation: %v\n", check.Consistent())
+	// Output:
+	// partner B: view changed true, additive, variant
+	// partner L: view changed true, additive, invariant
+	// suggestion: support additionally receiving A#B#cancelOp (state 1); widen receive Sequence:buyer process / Receive:delivery into a pick [widen receive Sequence:buyer process / Receive:delivery into pick with 1 extra branch(es)]
+	// consistent after adaptation: true
+}
+
 // ExampleChoreographyStore_MigrateAll runs the bulk instance-migration
 // engine in process: record running conversations, commit a
 // subtractive change, then sweep the whole population to the new

@@ -209,16 +209,6 @@ func (a *Automaton) IsEmpty() (bool, error) {
 	return !viable[a.start], nil
 }
 
-// MustIsEmpty is IsEmpty for automata known to carry positive
-// annotations; it panics on error. Intended for fixtures and benches.
-func (a *Automaton) MustIsEmpty() bool {
-	empty, err := a.IsEmpty()
-	if err != nil {
-		panic(err)
-	}
-	return empty
-}
-
 // Consistent reports bilateral consistency of two public processes
 // (Sec. 3.2): their intersection is non-empty, which the paper proves
 // equivalent to deadlock-free execution of the interaction.

@@ -5,9 +5,9 @@ import "repro/internal/label"
 // Stepper is an allocation-free single-step evaluator over a (usually
 // deterministic) automaton: a dense state×symbol next-state table plus
 // a lock-free label→symbol lookup snapshot. It front-loads what trace
-// replay loops — instance-migration compliance checks, conformance
-// monitoring — otherwise pay per message: label hashing and a linear
-// transition scan that allocates a target slice.
+// replay loops — instance-migration compliance checks, per-event
+// ingest stepping — otherwise pay per message: label hashing and a
+// linear transition scan that allocates a target slice.
 //
 // A Stepper is immutable after construction and safe for concurrent
 // use. It snapshots the automaton at construction time; it must not

@@ -129,7 +129,7 @@ func TestClassifyBoth(t *testing.T) {
 func TestDetectAddedTransitions(t *testing.T) {
 	oldB := branching("old", []string{"A#B#x", "A#B#z"})
 	newB := branching("new", []string{"A#B#x", "A#B#z"}, []string{"A#B#x", "A#B#w"}, []string{"A#B#v"})
-	hints := DetectAddedTransitions(oldB, newB)
+	hints, _ := detect(newB, oldB, true)
 	if len(hints) != 2 {
 		t.Fatalf("hints = %v, want 2", hints)
 	}
@@ -157,7 +157,7 @@ func TestDetectAddedTransitions(t *testing.T) {
 func TestDetectRemovedTransitions(t *testing.T) {
 	oldB := branching("old", []string{"A#B#x", "A#B#z"}, []string{"A#B#y"})
 	newB := branching("new", []string{"A#B#x", "A#B#z"})
-	hints := DetectRemovedTransitions(oldB, newB)
+	hints, _ := detect(oldB, newB, false)
 	if len(hints) != 1 {
 		t.Fatalf("hints = %v, want 1", hints)
 	}
@@ -171,10 +171,10 @@ func TestDetectRemovedTransitions(t *testing.T) {
 
 func TestDetectNoDifference(t *testing.T) {
 	a := branching("a", []string{"A#B#x"})
-	if hints := DetectAddedTransitions(a, a.Clone()); len(hints) != 0 {
+	if hints, _ := detect(a.Clone(), a, true); len(hints) != 0 {
 		t.Fatalf("spurious hints: %v", hints)
 	}
-	if hints := DetectRemovedTransitions(a, a.Clone()); len(hints) != 0 {
+	if hints, _ := detect(a, a.Clone(), false); len(hints) != 0 {
 		t.Fatalf("spurious hints: %v", hints)
 	}
 }

@@ -141,28 +141,10 @@ func regions(hints []Hint, tbl mapping.Table) []Region {
 	return out
 }
 
-// DetectAddedTransitions walks newB and oldB in parallel from their
-// start states (the paper: "the difference automaton is traversed
-// parallel to the original public process (comparable to
-// bi-simulation)") and reports, per reachable oldB state, the labels
-// newB offers that oldB does not — the messages the partner has to
-// additionally support, attributed to the mapping-table state where
-// they become visible.
-func DetectAddedTransitions(oldB, newB *afsa.Automaton) []Hint {
-	hints, _ := detect(newB, oldB, true)
-	return hints
-}
-
-// DetectRemovedTransitions reports, per reachable oldB state, the
-// labels oldB offers that newB no longer does — the messages the
-// partner must stop relying on.
-func DetectRemovedTransitions(oldB, newB *afsa.Automaton) []Hint {
-	hints, _ := detect(oldB, newB, false)
-	return hints
-}
-
-// detect walks lead and trail in parallel on their common labels and
-// emits a hint whenever lead has a transition trail lacks. The hint
+// detect walks lead and trail in parallel on their common labels (the
+// paper: "the difference automaton is traversed parallel to the
+// original public process (comparable to bi-simulation)") and emits a
+// hint whenever lead has a transition trail lacks. The hint
 // state belongs to the partner's *current* public process B: for added
 // hints B is the trail (hintOnTrail), for removed hints the lead. The
 // counterpart map sends each B state to the first B' state it was

@@ -7,8 +7,8 @@
 // The package also implements the naive baseline such engines are
 // compared against — message-overlap matching (two services "match"
 // when each mandatory direction of the conversation shares at least
-// one operation) — so the benchmarks can show the precision gap that
-// motivates consistency-based matchmaking.
+// one operation) — so TestConsistencyBeatsOverlap can show the
+// precision gap that motivates consistency-based matchmaking.
 package discovery
 
 import (

@@ -173,16 +173,6 @@ func (r *Report) MigratableFraction() float64 {
 	return float64(r.Migratable) / float64(r.Total)
 }
 
-// Migrate classifies every instance against the new schema, sharing
-// one Checker across the batch.
-func Migrate(instances []Instance, newPublic *afsa.Automaton) (*Report, error) {
-	c, err := NewChecker(newPublic)
-	if err != nil {
-		return nil, err
-	}
-	return MigrateWith(instances, c), nil
-}
-
 // MigrateWith classifies every instance through an existing Checker —
 // the entry point for callers that memoize the per-schema work (the
 // store keeps one Checker per party version).

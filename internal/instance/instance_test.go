@@ -137,10 +137,11 @@ func TestMigrateReport(t *testing.T) {
 	if len(instances) != 200 {
 		t.Fatalf("sampled %d instances", len(instances))
 	}
-	rep, err := Migrate(instances, newPublic)
+	c, err := NewChecker(newPublic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := MigrateWith(instances, c)
 	if rep.Total != 200 {
 		t.Fatalf("total = %d", rep.Total)
 	}
@@ -200,10 +201,11 @@ func TestInvariantChangeMigratesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	instances := SampleInstances(oldRes.Automaton, 3, 200, 10)
-	rep, err := Migrate(instances, newRes.Automaton)
+	c, err := NewChecker(newRes.Automaton)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := MigrateWith(instances, c)
 	if rep.Migratable != rep.Total {
 		t.Fatalf("invariant change blocked %d instances", rep.Total-rep.Migratable)
 	}

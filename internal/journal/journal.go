@@ -174,22 +174,8 @@ func (l *Log) openWAL() ([]Record, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: reading %s: %w", walName, err)
 	}
-	var tail []Record
-	good := 0 // byte offset after the last intact record
-	for good < len(data) {
-		lsn, payload, n, ferr := parseFrame(data[good:])
-		if ferr != nil {
-			break // torn or corrupt tail: keep what we have
-		}
-		good += n
-		if lsn > l.lsn {
-			l.lsn = lsn
-		}
-		if lsn > l.snapLSN {
-			// Copy: payload aliases the read buffer.
-			tail = append(tail, Record{LSN: lsn, Data: append([]byte(nil), payload...)})
-		}
-	}
+	tail, last, good := scanWAL(data, l.snapLSN)
+	l.lsn = max(l.lsn, last)
 	if good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {
 			f.Close()
@@ -202,6 +188,27 @@ func (l *Log) openWAL() ([]Record, error) {
 	}
 	l.wal, l.walLen = f, int64(good)
 	return tail, nil
+}
+
+// scanWAL parses a WAL image from its start and stops at the first
+// incomplete or corrupt frame. It returns the records whose LSN is past
+// snapLSN (copied out of data), the largest LSN of any intact frame (0
+// when there is none) and good, the byte offset after the last intact
+// frame: the length the torn tail is truncated to.
+func scanWAL(data []byte, snapLSN uint64) (tail []Record, last uint64, good int) {
+	for good < len(data) {
+		lsn, payload, n, err := parseFrame(data[good:])
+		if err != nil {
+			break // torn or corrupt tail: keep what we have
+		}
+		good += n
+		last = max(last, lsn)
+		if lsn > snapLSN {
+			// Copy: payload aliases the read buffer.
+			tail = append(tail, Record{LSN: lsn, Data: append([]byte(nil), payload...)})
+		}
+	}
+	return tail, last, good
 }
 
 // parseFrame decodes one frame from the head of data, returning the

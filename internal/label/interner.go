@@ -163,16 +163,3 @@ func (in *Interner) Ranks() RankView {
 	}
 	return in.ranks
 }
-
-// SymbolMap returns a fresh label→symbol map of the current contents —
-// a lock-free lookup table for replay loops that resolve externally
-// supplied labels (trace replay, conformance monitoring).
-func (in *Interner) SymbolMap() map[Label]Symbol {
-	in.mu.RLock()
-	m := make(map[Label]Symbol, len(in.byLabel))
-	for l, s := range in.byLabel {
-		m[l] = s
-	}
-	in.mu.RUnlock()
-	return m
-}

@@ -5,9 +5,9 @@
 // authors' prototype: the tests use it to validate that bilateral
 // consistency really predicts deadlock-free execution (the paper's
 // central claim, "the non-emptiness of the intersection of two
-// automata guarantees for the absence of deadlock"), and the
-// benchmarks use it for the controlled-vs-uncontrolled evolution
-// experiment.
+// automata guarantees for the absence of deadlock"), and
+// TestControlledEvolutionPreventsDeadlock uses it for the
+// controlled-vs-uncontrolled evolution experiment.
 //
 // # Execution model
 //

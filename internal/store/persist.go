@@ -98,9 +98,6 @@ func Open(opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Durable reports whether the store writes a journal.
-func (s *Store) Durable() bool { return s.jnl != nil }
-
 // Close drains the store and releases the journal. New mutations fail
 // with ErrClosed from the moment Close is entered; then every
 // migration sweep is canceled and awaited and every choreography's

@@ -734,24 +734,6 @@ func (s *Store) CheckUncached(ctx context.Context, id string) (*CheckReport, err
 	return s.checkSnapshot(ctx, e, e.snap.Load(), false)
 }
 
-// CheckPair checks one pair through the cache.
-func (s *Store) CheckPair(ctx context.Context, id, a, b string) (PairResult, error) {
-	if err := ctxErr(ctx); err != nil {
-		return PairResult{}, err
-	}
-	e, err := s.entry(id)
-	if err != nil {
-		return PairResult{}, err
-	}
-	snap := e.snap.Load()
-	for _, name := range [2]string{a, b} {
-		if _, ok := snap.parties[name]; !ok {
-			return PairResult{}, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, name, id)
-		}
-	}
-	return s.checkPair(e, snap, a, b, true)
-}
-
 // View returns the bilateral view τ_forParty(of's public process) from
 // the memo.
 func (s *Store) View(ctx context.Context, id, of, forParty string) (*afsa.Automaton, error) {

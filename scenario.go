@@ -6,8 +6,8 @@ import (
 
 // The paper's procurement scenario (Sec. 2) as ready-made fixtures:
 // buyer (party "B"), accounting ("A") and logistics ("L"), plus the
-// three change operations of the evaluation scenarios. The examples
-// and benchmarks build on these.
+// three change operations of the evaluation scenarios. The Example
+// functions, the tests and the benchmarks build on these.
 
 // PaperRegistry returns the WSDL registry of the paper scenario.
 func PaperRegistry() *Registry { return paperrepro.Registry() }

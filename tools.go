@@ -5,18 +5,12 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/conformance"
-	"repro/internal/decentral"
-	"repro/internal/discovery"
-	"repro/internal/gen"
 	"repro/internal/instance"
 	"repro/internal/loadgen"
 	"repro/internal/migrate"
 	"repro/internal/runtime"
-	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/version"
 )
 
 // Serving layer (choreod): a sharded, versioned, cache-aware
@@ -153,70 +147,6 @@ func NewSystem(parties map[string]*Automaton) (*System, error) {
 	return runtime.NewSystem(parties)
 }
 
-// Service discovery (paper Sec. 6, consistency-based matchmaking).
-type (
-	// ServiceRegistry stores published public processes.
-	ServiceRegistry = discovery.Registry
-	// ServiceMatch is one discovery result.
-	ServiceMatch = discovery.Match
-	// MatchEvaluation compares a matcher against ground truth.
-	MatchEvaluation = discovery.Evaluation
-)
-
-// NewServiceRegistry returns an empty service registry.
-func NewServiceRegistry() *ServiceRegistry { return discovery.NewRegistry() }
-
-// EvaluateMatches computes precision/recall of a result set.
-func EvaluateMatches(matcher string, got []ServiceMatch, truth map[string]bool) MatchEvaluation {
-	return discovery.Evaluate(matcher, got, truth)
-}
-
-// Decentralized change negotiation (paper Sec. 6).
-type (
-	// DecentralNode is one participant of the decentralized protocol.
-	DecentralNode = decentral.Node
-	// Negotiation is the outcome of a decentralized change
-	// introduction (propose/vote/commit).
-	Negotiation = decentral.Negotiation
-	// PartnerAdapter is the partner-side adaptation callback used
-	// during negotiation.
-	PartnerAdapter = decentral.Adapter
-)
-
-// Negotiation votes.
-const (
-	VoteAccept  = decentral.VoteAccept
-	VoteAdapted = decentral.VoteAdapted
-	VoteReject  = decentral.VoteReject
-)
-
-// NegotiateChange runs the decentralized two-phase introduction of a
-// change: propose the new views, collect accept/adapted/reject votes,
-// commit iff nobody rejected.
-func NegotiateChange(origin string, newViews map[string]*Automaton, partners []DecentralNode, adapt PartnerAdapter) (*Negotiation, error) {
-	return decentral.NegotiateChange(origin, newViews, partners, adapt)
-}
-
-// Schema version management (paper Sec. 8: co-existing choreography
-// versions with instance migration).
-type (
-	// VersionHistory is one party's version tree.
-	VersionHistory = version.History
-	// VersionManager tracks a history plus the running instances
-	// pinned to its versions.
-	VersionManager = version.Manager
-	// MigrationOutcome summarizes a MigrateAll run.
-	MigrationOutcome = version.MigrationOutcome
-)
-
-// NewVersionHistory starts a version history with the initial version.
-func NewVersionHistory(party string, private *Process, public *Automaton) (*VersionHistory, error) {
-	return version.NewHistory(party, private, public)
-}
-
-// NewVersionManager wraps a history for instance tracking.
-func NewVersionManager(h *VersionHistory) *VersionManager { return version.NewManager(h) }
-
 // Instance migration (the paper's Sec. 8 extension).
 type (
 	// Instance is a running conversation identified by its trace.
@@ -234,75 +164,9 @@ const (
 	Unviable      = instance.Unviable
 )
 
-// CheckInstance classifies one instance against the new public
-// process (ADEPT-style compliance).
-func CheckInstance(inst Instance, newPublic *Automaton) (MigrationStatus, error) {
-	return instance.Check(inst, newPublic)
-}
-
-// MigrateInstances classifies every instance against the new schema.
-func MigrateInstances(instances []Instance, newPublic *Automaton) (*MigrationReport, error) {
-	return instance.Migrate(instances, newPublic)
-}
-
-// SampleInstances draws running instances of a public process by
-// seeded random walks.
-func SampleInstances(public *Automaton, seed int64, n, maxLen int) []Instance {
-	return instance.SampleInstances(public, seed, n, maxLen)
-}
-
-// Conformance monitoring: replaying observed message logs against the
-// agreed public processes and detecting uncontrolled evolution.
+// Workload layer: the mixed-traffic load generator over the scenario
+// corpus.
 type (
-	// Monitor tracks a conversation against the parties' public
-	// processes.
-	Monitor = conformance.Monitor
-	// Deviation localizes one protocol violation.
-	Deviation = conformance.Deviation
-	// Drift is the outcome of comparing observed behavior with a
-	// published view.
-	Drift = conformance.Drift
-)
-
-// Deviation roles.
-const (
-	RoleSender   = conformance.RoleSender
-	RoleReceiver = conformance.RoleReceiver
-	RoleUnknown  = conformance.RoleUnknown
-)
-
-// NewMonitor builds a conformance monitor from public processes keyed
-// by party.
-func NewMonitor(parties map[string]*Automaton) (*Monitor, error) {
-	return conformance.NewMonitor(parties)
-}
-
-// CheckTrace replays a whole message log; it returns the first
-// deviation (nil if none) and whether the conversation completed.
-func CheckTrace(parties map[string]*Automaton, trace []Label) (*Deviation, bool, error) {
-	return conformance.CheckTrace(parties, trace)
-}
-
-// DetectDrift compares the observed behavior of a party (message logs)
-// against its published bilateral view and reports novel behavior —
-// evidence of uncontrolled evolution.
-func DetectDrift(party string, publishedView *Automaton, traces [][]Label) *Drift {
-	return conformance.DetectDrift(party, publishedView, traces)
-}
-
-// RandomChange draws a random structural change for a process
-// (seeded, deterministic workload generation).
-func RandomChange(seed int64, p *Process, reg *Registry) (ChangeOperation, error) {
-	return gen.RandomChange(seed, p, reg)
-}
-
-// Workload layer: the scenario corpus and the mixed-traffic load
-// generator over it.
-type (
-	// Scenario is one corpus entry: 5+ party processes (consistent by
-	// construction), scripted running instances and scripted evolution
-	// episodes with expected classifications and migration fallout.
-	Scenario = scenario.Scenario
 	// LoadgenConfig parameterizes one load run against a choreod.
 	LoadgenConfig = loadgen.Config
 	// LoadgenMix weighs the load generator's op classes.
