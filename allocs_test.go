@@ -4,9 +4,8 @@ import "testing"
 
 // TestScenarioCheckAllocs pins the allocations of one paper-scenario
 // check: both bilateral views, the intersection and the annotated
-// emptiness test per interacting pair. It catches what allocgate
-// cannot see, such as map inserts and append growth. A change that
-// lowers the count lowers the pin.
+// emptiness test per interacting pair. A change that lowers the count
+// lowers the pin.
 func TestScenarioCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

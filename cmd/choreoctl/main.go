@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -417,7 +416,7 @@ func runServe(args []string) error {
 		return err
 	}
 	srv := choreo.NewChoreoServer(st)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(*addr)
 	if *data == "" {
 		log.Printf("choreod listening on %s (in-memory)", *addr)
 		return httpSrv.ListenAndServe()

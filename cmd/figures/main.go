@@ -37,10 +37,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	logistics, err := choreo.DerivePublic(choreo.PaperLogistics(), reg)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Fig. 5 — the aFSA worked example.
 	a5, b5 := choreo.Fig5PartyA(), choreo.Fig5PartyB()
@@ -64,7 +60,6 @@ func main() {
 	show("Fig. 7 accounting public process", acc.Automaton)
 	show("Fig. 8a buyer view of accounting", acc.Automaton.View("B"))
 	show("Fig. 8b logistics view of accounting", acc.Automaton.View("L"))
-	_ = logistics
 
 	// Sec. 5.1 / Fig. 10 — invariant additive change.
 	c, err := choreo.PaperScenario()

@@ -201,9 +201,7 @@ func (a *Automaton) determinize(wantMembers bool) (*Automaton, map[StateID][]Sta
 
 // hashIDs is FNV-1a over the little-endian bytes of the IDs. It runs
 // once per candidate state set in determinization's inner loop;
-// allocgate proves it allocation-free.
-//
-//choreolint:allocfree
+// TestHashIDsAllocs pins it at zero allocations.
 func hashIDs(ids []StateID) uint64 {
 	h := uint64(14695981039346656037)
 	for _, s := range ids {

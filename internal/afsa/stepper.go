@@ -74,10 +74,8 @@ func (s *Stepper) Step(q StateID, l label.Label) StateID {
 // after this stepper was built — cannot occur on the automaton's edges,
 // so they step to None exactly like an unknown label.
 //
-// This is the per-event kernel of every replay loop; allocgate proves
-// it allocation-free.
-//
-//choreolint:allocfree
+// This is the per-event kernel of every replay loop;
+// TestStepSymAllocs pins it at zero allocations.
 func (s *Stepper) StepSym(q StateID, sym label.Symbol) StateID {
 	if q == None || sym < 0 || int(sym) >= s.ns {
 		return None

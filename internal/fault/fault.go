@@ -17,28 +17,15 @@
 // A disarmed point costs one atomic pointer load. An armed point
 // consults its trigger: fire always, with probability p (seeded,
 // deterministic), or on exactly the nth hit, optionally capped to a
-// total fire count.
-//
-// # Arming
-//
-// Tests and tools arm through the API (Arm / Point.Arm / ArmSpec);
-// processes arm through the CHOREO_FAULTS environment variable, read
-// once at first registration. Both use the same spec grammar:
-//
-//	CHOREO_FAULTS="journal.append.write=p:0.05,journal.open.wal=n:3"
-//
-// where each entry is <name>=<trigger> and a trigger is "always",
-// "p:<probability>" or "n:<hit>".
+// total fire count. Points are armed only through the API: Arm by
+// catalog name, or Point.Arm on a point the caller holds.
 package fault
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -85,8 +72,7 @@ var (
 )
 
 // New registers a failpoint. It panics on a duplicate name, which
-// fails the owning package's tests at init, and arms the point
-// immediately when CHOREO_FAULTS names it.
+// fails the owning package's tests at init.
 func New(name string) *Point {
 	if name == "" {
 		panic("fault: empty failpoint name")
@@ -98,9 +84,6 @@ func New(name string) *Point {
 	}
 	p := &Point{name: name}
 	registry[name] = p
-	if t, ok := envTriggers()[name]; ok {
-		p.Arm(t)
-	}
 	return p
 }
 
@@ -123,9 +106,6 @@ func (p *Point) Arm(t Trigger) {
 
 // Disarm deactivates the point; Fire returns nil again.
 func (p *Point) Disarm() { p.arm.Store(nil) }
-
-// Armed reports whether the point currently has a trigger.
-func (p *Point) Armed() bool { return p.arm.Load() != nil }
 
 // Fires returns how many failures the point has injected since
 // process start (across arm/disarm cycles).
@@ -199,16 +179,6 @@ func Arm(name string, t Trigger) error {
 	return nil
 }
 
-// Disarm disarms a registered point by catalog name.
-func Disarm(name string) error {
-	p, err := lookup(name)
-	if err != nil {
-		return err
-	}
-	p.Disarm()
-	return nil
-}
-
 // DisarmAll disarms every registered point — test teardown.
 func DisarmAll() {
 	regMu.Lock()
@@ -238,78 +208,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ArmSpec arms points from a spec string (the CHOREO_FAULTS grammar):
-// comma-separated <name>=<trigger> entries with triggers "always",
-// "p:<probability>" or "n:<hit>". Every name must be registered.
-func ArmSpec(spec string) error {
-	entries, err := parseSpec(spec)
-	if err != nil {
-		return err
-	}
-	for name, t := range entries {
-		if err := Arm(name, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parseSpec parses the CHOREO_FAULTS grammar into per-name triggers.
-func parseSpec(spec string) (map[string]Trigger, error) {
-	out := map[string]Trigger{}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, mode, ok := strings.Cut(entry, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("fault: spec entry %q is not <name>=<trigger>", entry)
-		}
-		var t Trigger
-		switch kind, arg, _ := strings.Cut(mode, ":"); kind {
-		case "always":
-			// zero Trigger
-		case "p":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil || p <= 0 || p > 1 {
-				return nil, fmt.Errorf("fault: spec entry %q: probability must be in (0,1]", entry)
-			}
-			t.Prob = p
-		case "n":
-			n, err := strconv.ParseUint(arg, 10, 64)
-			if err != nil || n == 0 {
-				return nil, fmt.Errorf("fault: spec entry %q: hit number must be a positive integer", entry)
-			}
-			t.Nth = n
-		default:
-			return nil, fmt.Errorf("fault: spec entry %q: unknown trigger %q", entry, kind)
-		}
-		out[name] = t
-	}
-	return out, nil
-}
-
-// envOnce parses CHOREO_FAULTS at most once, at first registration.
-var (
-	envOnce sync.Once
-	envArm  map[string]Trigger
-)
-
-func envTriggers() map[string]Trigger {
-	envOnce.Do(func() {
-		spec := os.Getenv("CHOREO_FAULTS")
-		if spec == "" {
-			return
-		}
-		entries, err := parseSpec(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fault: ignoring CHOREO_FAULTS:", err)
-			return
-		}
-		envArm = entries
-	})
-	return envArm
 }

@@ -96,29 +96,12 @@ func TestArmByNameAndSpec(t *testing.T) {
 	if err := Arm("test.byname", Trigger{}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Armed() {
-		t.Fatal("Arm by name did not arm")
-	}
-	if err := Disarm("test.byname"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Armed() {
-		t.Fatal("Disarm by name did not disarm")
+	defer p.Disarm()
+	if err := p.Fire(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Fire after Arm by name = %v, want ErrInjected", err)
 	}
 	if err := Arm("test.not.registered", Trigger{}); err == nil {
 		t.Fatal("arming an unregistered point succeeded")
-	}
-	if err := ArmSpec("test.byname=p:0.5"); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Disarm()
-	if !p.Armed() {
-		t.Fatal("ArmSpec did not arm")
-	}
-	for _, bad := range []string{"nope", "x=p:1.5", "x=n:0", "x=q:1", "test.not.registered=always"} {
-		if err := ArmSpec(bad); err == nil {
-			t.Errorf("ArmSpec(%q) succeeded", bad)
-		}
 	}
 }
 

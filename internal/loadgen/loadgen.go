@@ -538,7 +538,7 @@ func startEmbedded() (*embedded, error) {
 	e := &embedded{
 		dir:   dir,
 		store: st,
-		http:  &http.Server{Handler: server.New(st).Handler()},
+		http:  server.New(st).HTTPServer(""),
 		addr:  "http://" + ln.Addr().String(),
 	}
 	go e.http.Serve(ln)

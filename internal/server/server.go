@@ -65,6 +65,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/bpel"
 	"repro/internal/change"
@@ -126,6 +127,22 @@ func (s *Server) Handler() http.Handler {
 		s.requests.Add(1)
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// HTTPServer returns an http.Server serving Handler on addr. Its
+// timeouts stop a client that trickles its headers or body, or idles
+// on a keep-alive connection, from holding the connection forever.
+// There is no write timeout: an evolve on a large choreography
+// computes before it writes, and bounding that is not the transport's
+// job.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -357,3 +357,14 @@ func TestParallelTrafficThroughAPI(t *testing.T) {
 		t.Fatalf("choreography inconsistent after invariant-change traffic: %+v", rep.Pairs)
 	}
 }
+
+// TestHTTPServerTimeouts pins the transport bounds of the served
+// http.Server: without them a client that trickles its headers holds
+// a connection forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := New(store.New()).HTTPServer("127.0.0.1:0")
+	if hs.Addr != "127.0.0.1:0" || hs.Handler == nil || hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("HTTPServer: addr %q, timeouts (read header, read, idle) %v, %v, %v; want all set",
+			hs.Addr, hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+}

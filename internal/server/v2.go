@@ -20,7 +20,14 @@ import (
 // stale preconditions), cursor pagination, and the {code, message,
 // details} error envelope.
 
-func (s *Server) routesV2(mux *http.ServeMux) {
+// router is what routesV2 registers on: *http.ServeMux when serving,
+// and a recorder in the route sweeps, so that they sweep the real
+// route table.
+type router interface {
+	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
+}
+
+func (s *Server) routesV2(mux router) {
 	mux.HandleFunc("GET /v2/stats", s.v2Stats)
 	mux.HandleFunc("GET /v2/healthz", s.v2Healthz)
 	mux.HandleFunc("GET /v2/readyz", s.v2Readyz)

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/change"
 	"repro/internal/ingest"
 	"repro/internal/store"
 )
@@ -267,6 +268,20 @@ type BatchCheckResult struct {
 // BatchCheckResponse collects the per-choreography outcomes.
 type BatchCheckResponse struct {
 	Results []BatchCheckResult `json:"results"`
+}
+
+// OpJSON is the wire encoding of one structural change operation of a
+// /v2/ evolve transaction; change.Spec documents the kinds and their
+// fields.
+type OpJSON = change.Spec
+
+// decodeOps translates a wire op list into a change transaction.
+func decodeOps(party string, ops []OpJSON) ([]change.Operation, error) {
+	out, err := change.DecodeSpecs(party, ops)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return out, nil
 }
 
 // EvolveOpsRequest submits a /v2/ change transaction: one or more

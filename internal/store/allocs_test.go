@@ -3,12 +3,12 @@ package store
 import (
 	"testing"
 
+	"repro/internal/label"
 	"repro/internal/paperrepro"
 )
 
 // pinAllocs fails t when f allocates more than pinned times per run.
-// The pins catch what allocgate cannot see, such as map inserts and
-// append growth. A change that lowers a count lowers its pin.
+// A change that lowers a count lowers its pin.
 func pinAllocs(t *testing.T, what string, pinned float64, f func()) {
 	t.Helper()
 	if raceEnabled {
@@ -44,6 +44,41 @@ func TestCachedCheckAllocs(t *testing.T) {
 	pinAllocs(t, "cached Store.Check", 2, func() {
 		if rep, err := s.Check(ctx, id); err != nil || !rep.Consistent() {
 			t.Fatalf("cached check inconsistent: %v", err)
+		}
+	})
+}
+
+// TestAdvanceAllocs pins ingest's per-event step at zero allocations
+// on each of its branches: a known symbol that steps and takes the
+// online-migration advance, an unknown symbol that deviates, and an
+// event on an already-deviated instance.
+func TestAdvanceAllocs(t *testing.T) {
+	s, id := paperStore(t)
+	snap, err := s.Snapshot(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, _ := snap.Party(paperrepro.Buyer)
+	chk, err := ps.complianceChecker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, ok := snap.syms.Lookup(label.MustParse("B#A#orderOp"))
+	if !ok {
+		t.Fatal("B#A#orderOp not interned")
+	}
+	fresh := pendingInst{schema: 1, live: instLive{pv: ps.Version, chk: chk, state: chk.Start(), dev: -1}}
+	var p pendingInst
+	pinAllocs(t, "pendingInst.advance", 0, func() {
+		p = fresh
+		p.advance(order, 0, 2)
+		if p.live.dev >= 0 || p.tagTo != 2 {
+			t.Fatalf("known symbol: dev %d, tagTo %d; want a step and an advance to 2", p.live.dev, p.tagTo)
+		}
+		p.advance(symUnknown, 1, 2)
+		p.advance(order, 2, 2)
+		if p.live.dev != 1 {
+			t.Fatalf("deviation at %d, want 1", p.live.dev)
 		}
 	})
 }

@@ -5,9 +5,13 @@
 // package and its type information, Reportf — but is self-contained on
 // the standard library, because this module deliberately has no
 // external dependencies. The driver (the vettool protocol in package
-// main) loads and type-checks packages, runs the analyzers, and applies
-// the //lint:ignore suppression pass (see directive.go) before
-// surfacing diagnostics.
+// main) loads and type-checks packages, runs the analyzers and surfaces
+// their diagnostics. There is no suppression directive: a finding is
+// fixed, or the rule is wrong.
+//
+// Marker directives (//choreolint:frozen, //choreolint:builder,
+// //choreolint:hotlock) opt declarations into a check; analyzers read
+// them through the summary engine's marker tables.
 package analysis
 
 import (
@@ -23,8 +27,7 @@ import (
 
 // An Analyzer checks one invariant over a single package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph description shown by `choreolint help`.
 	Doc string
@@ -67,15 +70,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run executes each analyzer over the package and returns the
-// surviving diagnostics: //lint:ignore-suppressed findings and
-// findings in _test.go files are dropped (the invariants govern
-// production code; tests violate them deliberately — seeded
-// randomness, detached contexts in helpers, raw statuses in
-// fixtures), the rest come back in deterministic order: sorted by
-// file, line, column, analyzer name, then message, so repeated runs
-// and CI logs diff cleanly.
+// surviving diagnostics: findings in _test.go files are dropped (the
+// invariants govern production code; tests violate them deliberately,
+// such as raw statuses in fixtures), the rest come back in
+// deterministic order: sorted by file, line, column, analyzer name,
+// then message, so repeated runs and CI logs diff cleanly.
 func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, sum *summary.Info) ([]Diagnostic, error) {
-	ignores := parseIgnores(fset, files)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Summary: sum}
@@ -83,8 +83,7 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *typ
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 		for _, d := range pass.diags {
-			posn := fset.Position(d.Pos)
-			if strings.HasSuffix(posn.Filename, "_test.go") || ignores.suppresses(posn, a.Name) {
+			if strings.HasSuffix(fset.Position(d.Pos).Filename, "_test.go") {
 				continue
 			}
 			out = append(out, d)
@@ -174,14 +173,4 @@ func ReceiverFieldVar(info *types.Info, call *ast.CallExpr) *types.Var {
 		}
 	}
 	return nil
-}
-
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -125,7 +125,7 @@ func printHelp() {
 	fmt.Println()
 	fmt.Println("Usage: choreolint [package pattern ...]   (runs via go vet)")
 	fmt.Println()
-	fmt.Println("Analyzers (suppress one finding with a '//lint:ignore choreolint/<name> reason' comment):")
+	fmt.Println("Analyzers:")
 	for _, a := range passes.All() {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {

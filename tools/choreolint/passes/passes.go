@@ -6,7 +6,6 @@ package passes
 import (
 	"repro/tools/choreolint/analysis"
 	"repro/tools/choreolint/analysis/summary"
-	"repro/tools/choreolint/passes/ctxfirst"
 	"repro/tools/choreolint/passes/errenvelope"
 	"repro/tools/choreolint/passes/lockheldio"
 	"repro/tools/choreolint/passes/lockorder"
@@ -20,7 +19,6 @@ func All() []*analysis.Analyzer {
 		lockorder.Analyzer,
 		lockheldio.Analyzer,
 		snapshotimmut.Analyzer,
-		ctxfirst.Analyzer,
 		errenvelope.Analyzer,
 	}
 }

@@ -115,11 +115,3 @@ func (s *store) goodLeakReleased() {
 	release()
 	os.ReadDir(s.dir)
 }
-
-// suppressed demonstrates a justified //lint:ignore.
-func (s *store) suppressed() {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	//lint:ignore choreolint/lockheldio fixture demonstrating a justified suppression
-	os.WriteFile(s.dir, nil, 0o644)
-}

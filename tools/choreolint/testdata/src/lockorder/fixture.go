@@ -73,12 +73,3 @@ func (s *store) goodOther() {
 	s.mu.Lock()
 	s.mu.Unlock()
 }
-
-// suppressed demonstrates a justified //lint:ignore.
-func (s *store) suppressed() {
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-	//lint:ignore choreolint/lockorder fixture demonstrating a justified suppression
-	s.commitMu.Lock()
-	s.commitMu.Unlock()
-}

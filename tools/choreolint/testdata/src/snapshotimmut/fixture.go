@@ -72,9 +72,3 @@ func rebuild(cur *Snapshot) *Snapshot {
 	next.order = append([]string(nil), cur.order...)
 	return next
 }
-
-// suppressed demonstrates a justified //lint:ignore.
-func suppressed() {
-	//lint:ignore choreolint/snapshotimmut fixture demonstrating a justified suppression
-	published.Version = 7
-}
