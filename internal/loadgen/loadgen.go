@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -290,16 +291,19 @@ func finalize(cs *ClassStats, elapsed time.Duration) {
 }
 
 func (r *runner) loadCorpus() error {
-	names := r.cfg.Scenarios
-	if len(names) == 0 {
-		names = scenario.Names()
+	all, err := scenario.All()
+	if err != nil {
+		return fmt.Errorf("loadgen: %w", err)
 	}
-	for _, name := range names {
-		sc, err := scenario.Load(name)
-		if err != nil {
-			return fmt.Errorf("loadgen: %w", err)
+	if len(r.cfg.Scenarios) == 0 {
+		r.corpus = all
+	}
+	for _, name := range r.cfg.Scenarios {
+		i := slices.IndexFunc(all, func(sc *scenario.Scenario) bool { return sc.Name == name })
+		if i < 0 {
+			return fmt.Errorf("loadgen: unknown scenario %q", name)
 		}
-		r.corpus = append(r.corpus, sc)
+		r.corpus = append(r.corpus, all[i])
 	}
 	if len(r.corpus) == 0 {
 		return fmt.Errorf("loadgen: no scenarios")

@@ -119,12 +119,16 @@ func TestLoadgenFaults(t *testing.T) {
 	if testing.Short() {
 		maxOps = 80
 	}
+	corpus, err := scenario.All()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Run(context.Background(), Config{
 		Faults:      0.1,
 		Concurrency: 4,
 		MaxOps:      maxOps,
 		Seed:        11,
-		Scenarios:   []string{scenario.Names()[0]},
+		Scenarios:   []string{corpus[0].Name},
 	})
 	if err != nil {
 		t.Fatal(err)

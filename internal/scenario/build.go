@@ -9,9 +9,8 @@ import (
 func mustLabel(s string) label.Label { return label.MustParse(s) }
 
 // The definitions in this file and the per-scenario files are the
-// source the checked-in testdata is generated from (gen_test.go). The
-// helpers keep the process trees terse; consistency rules of thumb
-// (all enforced by TestCorpusBaseIsConsistent):
+// corpus. The helpers keep the process trees terse; consistency rules
+// of thumb (all enforced by TestCorpusBaseIsConsistent):
 //
 //   - every pairwise conversation is an exact dual: each send has a
 //     matching receive/pick branch on the partner;
@@ -21,7 +20,7 @@ func mustLabel(s string) label.Label { return label.MustParse(s) }
 //   - loops follow the paper idiom: a While("1 = 1") around a pick
 //     whose exit branches Terminate.
 
-// definitions returns the corpus builders in corpus order.
+// definitions builds the corpus, in name order.
 func definitions() []*Scenario {
 	return []*Scenario{
 		auctionScenario(),
@@ -83,8 +82,8 @@ func proc(name, owner string, body bpel.Activity) *bpel.Process {
 
 // ---- op spec helpers ----
 
-// mustActivityXML marshals an activity fragment; builders run at
-// generation/test time, so malformed fragments panic.
+// mustActivityXML marshals an activity fragment; the fragments are
+// fixed in the builders, so a malformed one is a bug and panics.
 func mustActivityXML(a bpel.Activity) string {
 	raw, err := bpel.MarshalActivityXML(a)
 	if err != nil {

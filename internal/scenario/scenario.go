@@ -2,8 +2,8 @@
 // choreographies the workload layer (corpus replay tests, fuzzing,
 // choreoctl loadgen) drives against the store and the server.
 //
-// Each scenario lives under testdata/<name>/ as a manifest.json plus
-// one BPEL XML file per party. A scenario bundles:
+// Each scenario is built in Go by one builder function (auction.go …
+// telco.go), listed in definitions(). A scenario bundles:
 //
 //   - the party processes (5+ parties, consistent by construction);
 //   - scripted running instances with whole or in-flight traces,
@@ -15,40 +15,29 @@
 //     changes, and the expected stranded set of a post-commit bulk
 //     migration.
 //
-// The checked-in testdata is generated from the builder functions in
-// this package; `go test ./internal/scenario -run TestTestdataInSync
-// -update` rewrites it. docs/scenarios.md describes the format and
-// how to add a scenario.
+// docs/scenarios.md describes the corpus and how to add a scenario.
 package scenario
 
 import (
-	"embed"
-	"encoding/json"
-	"fmt"
-	"sort"
-
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/label"
 )
-
-//go:embed testdata
-var testdataFS embed.FS
 
 // Impact is the expected classification of an episode for one partner
 // whose bilateral view changed (core.Classification strings:
 // "neutral"/"additive"/"subtractive"/"additive+subtractive" ×
 // "invariant"/"variant").
 type Impact struct {
-	Kind  string `json:"kind"`
-	Scope string `json:"scope"`
+	Kind  string
+	Scope string
 }
 
 // Adaptation is one partner's scripted private adaptation restoring
 // consistency after a variant episode commit.
 type Adaptation struct {
-	Party string        `json:"party"`
-	Ops   []change.Spec `json:"ops"`
+	Party string
+	Ops   []change.Spec
 }
 
 // Operations decodes the adaptation's op specs.
@@ -59,32 +48,32 @@ func (a Adaptation) Operations() ([]change.Operation, error) {
 // Stranded is one instance expected to be left behind by the bulk
 // migration that follows the episode commit (and its adaptations).
 type Stranded struct {
-	Party string `json:"party"`
-	ID    string `json:"id"`
+	Party string
+	ID    string
 	// Status is "non-replayable" or "unviable".
-	Status string `json:"status"`
+	Status string
 }
 
 // Episode is one scripted evolution: ops one party applies, with the
 // expected analysis outcome and migration fallout.
 type Episode struct {
-	Name  string        `json:"name"`
-	Party string        `json:"party"`
-	Ops   []change.Spec `json:"ops"`
+	Name  string
+	Party string
+	Ops   []change.Spec
 	// PublicChanged is the expected evolution outcome for the
 	// originator's public process.
-	PublicChanged bool `json:"publicChanged"`
+	PublicChanged bool
 	// Impacts maps each partner whose view is expected to change to
 	// its expected classification; partners absent from the map must
 	// report an unchanged view.
-	Impacts map[string]Impact `json:"impacts,omitempty"`
+	Impacts map[string]Impact
 	// Adaptations restore consistency after a variant commit, in
 	// order.
-	Adaptations []Adaptation `json:"adaptations,omitempty"`
+	Adaptations []Adaptation
 	// Stranded is the expected stranded set of a full migration sweep
 	// run after the commit and all adaptations, sorted by party then
 	// instance ID. Instances not listed must migrate.
-	Stranded []Stranded `json:"stranded,omitempty"`
+	Stranded []Stranded
 }
 
 // Operations decodes the episode's op specs for the originating party.
@@ -94,16 +83,16 @@ func (e Episode) Operations() ([]change.Operation, error) {
 
 // Instance is one scripted running conversation of one party.
 type Instance struct {
-	Party string `json:"party"`
-	ID    string `json:"id"`
+	Party string
+	ID    string
 	// Status is the expected classification against the party's *base*
 	// public process ("migratable" or "non-replayable"); deviators
 	// carry an off-protocol message in their trace.
-	Status string `json:"status"`
+	Status string
 	Trace  []label.Label
 }
 
-// Scenario is one loaded corpus entry.
+// Scenario is one corpus entry.
 type Scenario struct {
 	Name        string
 	Description string
@@ -163,98 +152,7 @@ func Events(insts []Instance, idSuffix string) []Event {
 	}
 }
 
-// ---- on-disk manifest ----
-
-type manifest struct {
-	Name        string             `json:"name"`
-	Description string             `json:"description"`
-	SyncOps     []string           `json:"syncOps,omitempty"`
-	Parties     []manifestParty    `json:"parties"`
-	Instances   []manifestInstance `json:"instances"`
-	Episodes    []Episode          `json:"episodes"`
-}
-
-type manifestParty struct {
-	Name string `json:"name"`
-	File string `json:"process"`
-}
-
-type manifestInstance struct {
-	Party  string   `json:"party"`
-	ID     string   `json:"id"`
-	Status string   `json:"status"`
-	Trace  []string `json:"trace"`
-}
-
-// Names lists the corpus scenarios in lexical order.
-func Names() []string {
-	entries, err := testdataFS.ReadDir("testdata")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			out = append(out, e.Name())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load reads one scenario from the checked-in corpus.
-func Load(name string) (*Scenario, error) {
-	raw, err := testdataFS.ReadFile("testdata/" + name + "/manifest.json")
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", name, err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("scenario %q: manifest: %w", name, err)
-	}
-	sc := &Scenario{
-		Name:        m.Name,
-		Description: m.Description,
-		SyncOps:     m.SyncOps,
-		Episodes:    m.Episodes,
-	}
-	for _, mp := range m.Parties {
-		xmlRaw, err := testdataFS.ReadFile("testdata/" + name + "/" + mp.File)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: party %s: %w", name, mp.Name, err)
-		}
-		p, err := bpel.UnmarshalXML(xmlRaw)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: party %s: %w", name, mp.Name, err)
-		}
-		if p.Owner != mp.Name {
-			return nil, fmt.Errorf("scenario %q: party file %s has owner %q, manifest says %q", name, mp.File, p.Owner, mp.Name)
-		}
-		sc.Parties = append(sc.Parties, p)
-	}
-	for _, mi := range m.Instances {
-		in := Instance{Party: mi.Party, ID: mi.ID, Status: mi.Status}
-		for _, s := range mi.Trace {
-			l, err := label.Parse(s)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: instance %s/%s: %w", name, mi.Party, mi.ID, err)
-			}
-			in.Trace = append(in.Trace, l)
-		}
-		sc.Instances = append(sc.Instances, in)
-	}
-	return sc, nil
-}
-
-// All loads the whole corpus.
+// All builds the whole corpus, in name order.
 func All() ([]*Scenario, error) {
-	var out []*Scenario
-	for _, name := range Names() {
-		sc, err := Load(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
-	}
-	return out, nil
+	return definitions(), nil
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/mapping"
 )
 
-// corpus loads the checked-in scenarios once per test binary.
+// corpus builds the scenarios and checks there are enough of them.
 func corpus(t *testing.T) []*Scenario {
 	t.Helper()
 	scs, err := All()
@@ -257,12 +257,19 @@ func TestEventsPreservePerInstanceOrder(t *testing.T) {
 	}
 }
 
-// Example documents corpus loading for godoc.
+// Example documents the corpus for godoc.
 func Example() {
-	sc, err := Load("supply-chain")
+	scs, err := All()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(sc.Name, len(sc.Parties), "parties")
-	// Output: supply-chain 5 parties
+	for _, sc := range scs {
+		fmt.Println(sc.Name, len(sc.Parties), "parties")
+	}
+	// Output:
+	// auction 5 parties
+	// claims 5 parties
+	// logistics 6 parties
+	// supply-chain 5 parties
+	// telco 5 parties
 }

@@ -18,17 +18,17 @@ import (
 	"repro/internal/store"
 )
 
-// routeRecorder registers routes on a real mux and keeps their
-// patterns in order, so the sweeps below cover the table routesV2
-// serves.
+// routeRecorder registers routes on the serving mux type and keeps
+// their patterns in order, so the sweeps below cover the table
+// routesV2 serves, through the adapter it serves them with.
 type routeRecorder struct {
-	*http.ServeMux
+	v2Mux
 	patterns []string
 }
 
-func (r *routeRecorder) HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request)) {
+func (r *routeRecorder) HandleFunc(pattern string, h handler) {
 	r.patterns = append(r.patterns, pattern)
-	r.ServeMux.HandleFunc(pattern, handler)
+	r.v2Mux.HandleFunc(pattern, h)
 }
 
 // sweepCase is a well-formed request to one route; values fill the
@@ -97,7 +97,7 @@ func newSweep(t *testing.T) *sweep {
 	evoID := map[string]string{"evo": evo.Evolution}
 	jobID := map[string]string{"id": id, "job": job.Job}
 
-	sw := &sweep{routes: &routeRecorder{ServeMux: http.NewServeMux()}, cases: map[string]sweepCase{
+	sw := &sweep{routes: &routeRecorder{v2Mux: v2Mux{http.NewServeMux()}}, cases: map[string]sweepCase{
 		"GET /v2/stats":                                    {exempt: true},
 		"GET /v2/healthz":                                  {exempt: true},
 		"GET /v2/readyz":                                   {exempt: true},
@@ -190,14 +190,13 @@ func TestRoutesHonorCancellation(t *testing.T) {
 // to fail: unknown path IDs, a known choreography with an unknown
 // party, a malformed body (POST, PUT) and a malformed page token
 // (GET). Every error must be the JSON envelope, with the status the
-// Code* comments in wire.go give its code, and every route but four
+// Code* comments in wire.go give its code, and every route but three
 // must answer at least one error.
 func TestRoutesErrorEnvelope(t *testing.T) {
 	statuses := codeStatuses(t)
 	sw := newSweep(t)
 	ghost := map[string]string{"id": "ghost", "party": "ghost", "evo": "ghost", "job": "ghost"}
-	neverFails := map[string]bool{"GET /v2/stats": true, "GET /v2/healthz": true, "GET /v2/readyz": true,
-		"POST /v2/admin/checkpoint": true}
+	neverFails := map[string]bool{"GET /v2/stats": true, "GET /v2/healthz": true, "GET /v2/readyz": true}
 	for _, pattern := range sw.routes.patterns {
 		c := sw.cases[pattern]
 		unknownIDs := c

@@ -122,7 +122,7 @@ func (s *Server) Store() *store.Store { return s.store }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.routesV2(mux)
+	s.routesV2(v2Mux{mux})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
 		mux.ServeHTTP(w, r)

@@ -103,6 +103,51 @@ func TestV2StaleIfMatch(t *testing.T) {
 	}
 }
 
+// TestNoParamRoutesBody pins the body of the POST routes that take no
+// parameters: check, commit and checkpoint answer 200 to an empty body
+// and to {} (with or without whitespace), and 400 invalid_argument to
+// anything else, so a commit whose body carries a precondition is
+// refused instead of applied unconditionally.
+func TestNoParamRoutesBody(t *testing.T) {
+	c, _ := durableClient(t)
+	id := paperSetup(t, c)
+	newAcc := apply(t, paperrepro.AccountingProcess(), paperrepro.OrderTwoChange())
+	post := func(path, body string) error {
+		_, err := c.roundTrip(ctx, "POST", path, nil, "", []byte(body), body != "", nil)
+		return err
+	}
+	paths := func(evo string) []string {
+		return []string{"/v2/choreographies/" + id + "/check", "/v2/evolutions/" + evo + "/commit", "/v2/admin/checkpoint"}
+	}
+	for _, body := range []string{"", "{}", " { }\n"} {
+		evo, err := c.Evolve(ctx, id, newAcc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths(evo.Evolution) {
+			if err := post(path, body); err != nil {
+				t.Errorf("POST %s with body %q: %v", path, body, err)
+			}
+		}
+	}
+	evo, err := c.Evolve(ctx, id, newAcc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{"{", `{"ifMatch":1}`, `{}{"ifMatch":1}`, "null"} {
+		for _, path := range paths(evo.Evolution) {
+			wantCode(t, post(path, body), 400, CodeInvalidArgument)
+		}
+	}
+	info, err := c.Choreography(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != evo.BaseVersion {
+		t.Fatalf("choreography at version %d after refused commits, want %d", info.Version, evo.BaseVersion)
+	}
+}
+
 // TestV2ApplySuggestionRace pins the 409 conflict on the
 // apply-suggestion race: when the partner's own process changes after
 // the analysis, the suggestion paths are void and the apply must be

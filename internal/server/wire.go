@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -461,16 +463,16 @@ func writeErrorV2(w http.ResponseWriter, err error) {
 	writeJSON(w, status, env)
 }
 
-// maxBodyBytes caps a JSON body in either direction: decode answers a
-// larger request body with 413 payload_too_large, and the client reads
-// no more of a response, so a misbehaving peer cannot make either side
-// buffer unbounded data.
+// maxBodyBytes caps a JSON body in either direction: the /v2/ adapter
+// caps a request body (decode answers more with 413
+// payload_too_large), and the client reads no more of a response, so a
+// misbehaving peer cannot make either side buffer unbounded data.
 const maxBodyBytes = 8 << 20
 
 // decode reads the request's JSON body into v, refusing unknown fields
 // and any body past maxBodyBytes.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+func decode(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -482,15 +484,28 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// noParams reads the body of a route that takes no parameters. It
+// accepts an empty body or {}, with or without whitespace; anything
+// else is a bad request, so a precondition sent in the body is
+// refused instead of ignored. It reads into a small buffer, not a JSON
+// decoder, because the typed client sends {} on every check.
+func noParams(r *http.Request) error {
+	var buf [16]byte
+	n, err := io.ReadFull(r.Body, buf[:])
+	body := bytes.TrimSpace(buf[:n])
+	if len(body) >= 2 && body[0] == '{' && body[len(body)-1] == '}' {
+		body = bytes.TrimSpace(body[1 : len(body)-1])
+	}
+	if (err == io.EOF || err == io.ErrUnexpectedEOF) && len(body) == 0 {
+		return nil
+	}
+	return badRequest("this route takes no parameters: send an empty body or {}")
+}
+
 // ---- ETag / If-Match ----
 
 // etagOf renders a snapshot version as a strong entity tag.
 func etagOf(version uint64) string { return `"` + strconv.FormatUint(version, 10) + `"` }
-
-// setETag stamps the snapshot version the response describes.
-func setETag(w http.ResponseWriter, version uint64) {
-	w.Header().Set("ETag", etagOf(version))
-}
 
 // ifMatch parses the If-Match header into a snapshot version. ok is
 // false when the header is absent or the wildcard "*" (no precondition

@@ -166,6 +166,38 @@ func TestContextCancellation(t *testing.T) {
 	if err := s.Create(canceled, "other", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Create on canceled ctx = %v, want context.Canceled", err)
 	}
+
+	// The mutators answer a canceled call before any work: each call
+	// below would otherwise fail its precondition with ErrExists or
+	// ErrConflict, and a conflict would be counted.
+	before := s.Stats()
+	stale := uint64(0)
+	for name, mutate := range map[string]func() error{
+		"RegisterParty": func() error {
+			_, err := s.RegisterParty(canceled, id, paperrepro.BuyerProcess())
+			return err
+		},
+		"UpdateParty": func() error {
+			_, err := s.UpdateParty(canceled, id, paperrepro.BuyerProcess(), &stale)
+			return err
+		},
+		"PutParties": func() error {
+			_, err := s.PutParties(canceled, id, []*bpel.Process{paperrepro.BuyerProcess()}, &stale)
+			return err
+		},
+		"ApplyOps": func() error {
+			_, err := s.ApplyOps(canceled, id, paperrepro.Accounting, []change.Operation{paperrepro.CancelChange()}, 99)
+			return err
+		},
+	} {
+		if err := mutate(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s on canceled ctx = %v, want context.Canceled", name, err)
+		}
+	}
+	if after := s.Stats(); after.Commits != before.Commits || after.Conflicts != before.Conflicts {
+		t.Fatalf("canceled mutators moved commits %d → %d, conflicts %d → %d",
+			before.Commits, after.Commits, before.Conflicts, after.Conflicts)
+	}
 }
 
 // WithCacheCap bounds the per-choreography consistency cache: with a

@@ -160,51 +160,27 @@ func (s *Store) CommitEvolution(ctx context.Context, evo *Evolution) (*Snapshot,
 // current snapshot and the version that commit published, without
 // applying anything (see idem.go). An empty key disables dedup.
 func (s *Store) CommitEvolutionIdem(ctx context.Context, evo *Evolution, key string) (*Snapshot, uint64, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, 0, err
-	}
-	release, err := s.beginMutation()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
-	e, err := s.entry(evo.Choreography)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	if key != "" {
-		if res, ok := s.IdemSeen(key); ok {
-			return e.snap.Load(), res.Version, nil
+	return s.commit(ctx, evo.Choreography, key, func(cur *Snapshot) (*Snapshot, []*bpel.Process, error) {
+		if cur.Version != evo.BaseVersion {
+			s.conflicts.Add(1)
+			return nil, nil, fmt.Errorf("%w: choreography %q at version %d, evolution based on %d",
+				ErrConflict, evo.Choreography, cur.Version, evo.BaseVersion)
 		}
-	}
-	cur := e.snap.Load()
-	if cur.Version != evo.BaseVersion {
-		s.conflicts.Add(1)
-		return nil, 0, fmt.Errorf("%w: choreography %q at version %d, evolution based on %d",
-			ErrConflict, evo.Choreography, cur.Version, evo.BaseVersion)
-	}
-	old := cur.parties[evo.Party]
-	next := cur.clone()
-	next.Version = cur.Version + 1
-	next.Registry = evo.Registry
-	// Move the committed public onto the choreography's shared
-	// interner (on a clone: the caller may still be reading the
-	// analyzed evolution concurrently), so the published party state
-	// shares the snapshot-wide symbol space. Only committed labels
-	// ever enter the shared interner.
-	pub := evo.NewPublic.Clone()
-	pub.Reintern(next.syms)
-	next.parties[evo.Party] = newPartyState(evo.NewPrivate,
-		&mapping.Result{Automaton: pub, Table: evo.NewTable}, old.Version+1)
-	next.computePairs()
-	if err := s.publishIdem(e, next, []*bpel.Process{evo.NewPrivate}, key); err != nil {
-		return nil, 0, err
-	}
-	s.commits.Add(1)
-	s.invalidatePairs(e, evo.Party)
-	return next, next.Version, nil
+		next := cur.clone()
+		next.Version = cur.Version + 1
+		next.Registry = evo.Registry
+		// Move the committed public onto the choreography's shared
+		// interner (on a clone: the caller may still be reading the
+		// analyzed evolution concurrently), so the published party state
+		// shares the snapshot-wide symbol space. Only committed labels
+		// ever enter the shared interner.
+		pub := evo.NewPublic.Clone()
+		pub.Reintern(next.syms)
+		next.parties[evo.Party] = newPartyState(evo.NewPrivate,
+			&mapping.Result{Automaton: pub, Table: evo.NewTable}, cur.parties[evo.Party].Version+1)
+		next.computePairs()
+		return next, []*bpel.Process{evo.NewPrivate}, nil
+	})
 }
 
 // ApplyOps applies adaptation operations to a partner's private
@@ -219,43 +195,27 @@ func (s *Store) ApplyOps(ctx context.Context, id, partner string, ops []change.O
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("%w: no operations to apply", ErrInvalid)
 	}
-	release, err := s.beginMutation()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	e, err := s.entry(id)
-	if err != nil {
-		return nil, err
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	cur := e.snap.Load()
-	ps, ok := cur.parties[partner]
-	if !ok {
-		return nil, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, partner, id)
-	}
-	if basePartyVersion != 0 && ps.Version != basePartyVersion {
-		s.conflicts.Add(1)
-		return nil, fmt.Errorf("%w: party %q at version %d, suggestions computed against %d",
-			ErrConflict, partner, ps.Version, basePartyVersion)
-	}
-	p := ps.Private
-	for _, op := range ops {
-		next, err := op.Apply(p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: adapting %s with %s: %v", ErrInvalid, partner, op, err)
+	next, _, err := s.commit(ctx, id, "", func(cur *Snapshot) (*Snapshot, []*bpel.Process, error) {
+		ps, ok := cur.parties[partner]
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, partner, id)
 		}
-		p = next
-	}
-	next, err := s.rebuildAll(ctx, cur, []*bpel.Process{p})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.publish(e, next, []*bpel.Process{p}); err != nil {
-		return nil, err
-	}
-	s.commits.Add(1)
-	s.invalidatePairs(e, partner)
-	return next, nil
+		if basePartyVersion != 0 && ps.Version != basePartyVersion {
+			s.conflicts.Add(1)
+			return nil, nil, fmt.Errorf("%w: party %q at version %d, suggestions computed against %d",
+				ErrConflict, partner, ps.Version, basePartyVersion)
+		}
+		p := ps.Private
+		for _, op := range ops {
+			next, err := op.Apply(p)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w: adapting %s with %s: %v", ErrInvalid, partner, op, err)
+			}
+			p = next
+		}
+		procs := []*bpel.Process{p}
+		next, err := s.rebuildAll(ctx, cur, procs)
+		return next, procs, err
+	})
+	return next, err
 }

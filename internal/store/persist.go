@@ -393,17 +393,14 @@ func (s *Store) persistRLock() func() {
 // persistMu read lock so a checkpoint can never separate them; the
 // caller holds the choreography's commit lock, which orders the
 // records of one choreography.
-func (s *Store) publish(e *entry, next *Snapshot, touched []*bpel.Process) error {
-	return s.publishIdem(e, next, touched, "")
-}
-
-// publishIdem is publish with an idempotency key: a non-empty key
-// additionally journals a recIdem record behind the commit record and
-// enters the key into the dedup window. The commit is already durable
-// and applied when the idem append runs, so an idem append failure
-// cannot fail the call — it only costs the retry its idempotent
-// success (it gets ErrConflict instead; see idem.go).
-func (s *Store) publishIdem(e *entry, next *Snapshot, touched []*bpel.Process, key string) error {
+//
+// A non-empty idempotency key additionally journals a recIdem record
+// behind the commit record and enters the key into the dedup window.
+// The commit is already durable and applied when the idem append
+// runs, so an idem append failure cannot fail the call — it only
+// costs the retry its idempotent success (it gets ErrConflict
+// instead; see idem.go).
+func (s *Store) publish(e *entry, next *Snapshot, touched []*bpel.Process, key string) error {
 	if s.jnl == nil {
 		e.snap.Store(next)
 		if key != "" {
@@ -685,17 +682,9 @@ func (s *Store) applyCreate(rec *recCreate) error {
 	sh := s.shardOf(rec.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.entries[rec.ID]; dup {
-		return nil
+	if _, dup := sh.entries[rec.ID]; !dup {
+		sh.entries[rec.ID] = newEntry(rec.ID, rec.SyncOps)
 	}
-	e := &entry{id: rec.ID, cons: map[pairKey]bool{}}
-	e.snap.Store(&Snapshot{
-		ID:      rec.ID,
-		syms:    label.NewInterner(),
-		syncOps: append([]string(nil), rec.SyncOps...),
-		parties: map[string]*PartyState{},
-	})
-	sh.entries[rec.ID] = e
 	return nil
 }
 

@@ -344,18 +344,20 @@ func (s *Store) Create(ctx context.Context, id string, syncOps []string) error {
 	if err := s.appendWAL(&walRecord{Create: &recCreate{ID: id, SyncOps: syncOps}}); err != nil {
 		return err
 	}
-	e := &entry{
-		id:   id,
-		cons: map[pairKey]bool{},
-	}
+	sh.entries[id] = newEntry(id, syncOps)
+	return nil
+}
+
+// newEntry returns the entry of an empty choreography at version 0.
+func newEntry(id string, syncOps []string) *entry {
+	e := &entry{id: id, cons: map[pairKey]bool{}}
 	e.snap.Store(&Snapshot{
 		ID:      id,
 		syms:    label.NewInterner(),
 		syncOps: append([]string(nil), syncOps...),
 		parties: map[string]*PartyState{},
 	})
-	sh.entries[id] = e
-	return nil
+	return e
 }
 
 // Delete removes a choreography, shutting its event engine down;
@@ -426,6 +428,50 @@ func (s *Store) Snapshot(ctx context.Context, id string) (*Snapshot, error) {
 	return e.snap.Load(), nil
 }
 
+// commit runs one write to choreography id: check ctx, pass the
+// mutation gate, look the choreography up, take its commit lock,
+// answer a key already in the idempotency window with the version it
+// published, build the next snapshot from the current one, publish
+// it, and drop the cached pair results of every touched party that
+// existed before. build checks the write's preconditions under the
+// commit lock and lists the parties it re-derived.
+func (s *Store) commit(ctx context.Context, id, key string, build func(cur *Snapshot) (next *Snapshot, touched []*bpel.Process, err error)) (*Snapshot, uint64, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, 0, err
+	}
+	release, err := s.beginMutation()
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	e, err := s.entry(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	if key != "" {
+		if res, ok := s.IdemSeen(key); ok {
+			return e.snap.Load(), res.Version, nil
+		}
+	}
+	cur := e.snap.Load()
+	next, touched, err := build(cur)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := s.publish(e, next, touched, key); err != nil {
+		return nil, 0, err
+	}
+	s.commits.Add(1)
+	for _, p := range touched {
+		if _, existed := cur.parties[p.Owner]; existed {
+			s.invalidatePairs(e, p.Owner)
+		}
+	}
+	return next, next.Version, nil
+}
+
 // RegisterParty derives the public process of p and adds the party to
 // the choreography. The snapshot registry is re-inferred over all
 // private processes including the new one.
@@ -433,30 +479,15 @@ func (s *Store) RegisterParty(ctx context.Context, id string, p *bpel.Process) (
 	if p == nil || p.Owner == "" {
 		return nil, fmt.Errorf("%w: register needs a process with an owner", ErrInvalid)
 	}
-	release, err := s.beginMutation()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	e, err := s.entry(id)
-	if err != nil {
-		return nil, err
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	cur := e.snap.Load()
-	if _, dup := cur.parties[p.Owner]; dup {
-		return nil, fmt.Errorf("%w: party %q in choreography %q", ErrExists, p.Owner, id)
-	}
-	next, err := s.rebuildAll(ctx, cur, []*bpel.Process{p})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.publish(e, next, []*bpel.Process{p}); err != nil {
-		return nil, err
-	}
-	s.commits.Add(1)
-	return next, nil
+	procs := []*bpel.Process{p}
+	next, _, err := s.commit(ctx, id, "", func(cur *Snapshot) (*Snapshot, []*bpel.Process, error) {
+		if _, dup := cur.parties[p.Owner]; dup {
+			return nil, nil, fmt.Errorf("%w: party %q in choreography %q", ErrExists, p.Owner, id)
+		}
+		next, err := s.rebuildAll(ctx, cur, procs)
+		return next, procs, err
+	})
+	return next, err
 }
 
 // UpdateParty replaces a party's private process outright (the
@@ -470,34 +501,18 @@ func (s *Store) UpdateParty(ctx context.Context, id string, p *bpel.Process, ifV
 	if p == nil || p.Owner == "" {
 		return nil, fmt.Errorf("%w: update needs a process with an owner", ErrInvalid)
 	}
-	release, err := s.beginMutation()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	e, err := s.entry(id)
-	if err != nil {
-		return nil, err
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	cur := e.snap.Load()
-	if err := s.checkVersion(cur, ifVersion); err != nil {
-		return nil, err
-	}
-	if _, ok := cur.parties[p.Owner]; !ok {
-		return nil, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, p.Owner, id)
-	}
-	next, err := s.rebuildAll(ctx, cur, []*bpel.Process{p})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.publish(e, next, []*bpel.Process{p}); err != nil {
-		return nil, err
-	}
-	s.commits.Add(1)
-	s.invalidatePairs(e, p.Owner)
-	return next, nil
+	procs := []*bpel.Process{p}
+	next, _, err := s.commit(ctx, id, "", func(cur *Snapshot) (*Snapshot, []*bpel.Process, error) {
+		if err := s.checkVersion(cur, ifVersion); err != nil {
+			return nil, nil, err
+		}
+		if _, ok := cur.parties[p.Owner]; !ok {
+			return nil, nil, fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, p.Owner, id)
+		}
+		next, err := s.rebuildAll(ctx, cur, procs)
+		return next, procs, err
+	})
+	return next, err
 }
 
 // checkVersion enforces an optimistic-concurrency precondition under
@@ -534,35 +549,14 @@ func (s *Store) PutParties(ctx context.Context, id string, procs []*bpel.Process
 		}
 		seen[p.Owner] = true
 	}
-	release, err := s.beginMutation()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	e, err := s.entry(id)
-	if err != nil {
-		return nil, err
-	}
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	cur := e.snap.Load()
-	if err := s.checkVersion(cur, ifVersion); err != nil {
-		return nil, err
-	}
-	next, err := s.rebuildAll(ctx, cur, procs)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.publish(e, next, procs); err != nil {
-		return nil, err
-	}
-	s.commits.Add(1)
-	for _, p := range procs {
-		if _, existed := cur.parties[p.Owner]; existed {
-			s.invalidatePairs(e, p.Owner)
+	next, _, err := s.commit(ctx, id, "", func(cur *Snapshot) (*Snapshot, []*bpel.Process, error) {
+		if err := s.checkVersion(cur, ifVersion); err != nil {
+			return nil, nil, err
 		}
-	}
-	return next, nil
+		next, err := s.rebuildAll(ctx, cur, procs)
+		return next, procs, err
+	})
+	return next, err
 }
 
 // rebuildAll produces the successor snapshot with every proc in procs

@@ -122,19 +122,6 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// IsPkgCall reports whether call invokes the package-level function
-// path.name (for example "time".Now or "net/http".Error).
-func IsPkgCall(info *types.Info, call *ast.CallExpr, path, name string) bool {
-	obj := CalleeOf(info, call)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if _, isFunc := obj.(*types.Func); !isFunc {
-		return false
-	}
-	return obj.Pkg().Path() == path && obj.Name() == name
-}
-
 // ReceiverField returns the name of the struct field a method call's
 // receiver resolves to: for `s.persistMu.RLock()` the call.Fun is the
 // selector `s.persistMu.RLock`, whose X (`s.persistMu`) selects the

@@ -21,7 +21,6 @@ func TestVettoolProtocol(t *testing.T) {
 	bin, root := vetfixture.Build(t)
 
 	fixtures := []struct{ dir, pass string }{
-		{"errenvelope", "errenvelope"},
 		{"lockheldio", "lockheldio"},
 		{"lockorder", "lockorder"},
 		{"snapshotimmut", "snapshotimmut"},

@@ -6,20 +6,18 @@ package passes
 import (
 	"repro/tools/choreolint/analysis"
 	"repro/tools/choreolint/analysis/summary"
-	"repro/tools/choreolint/passes/errenvelope"
 	"repro/tools/choreolint/passes/lockheldio"
 	"repro/tools/choreolint/passes/lockorder"
 	"repro/tools/choreolint/passes/snapshotimmut"
 )
 
 // All returns the full suite in the order findings are most useful to
-// read: concurrency first, then API conventions.
+// read: lock discipline first, then snapshot immutability.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockorder.Analyzer,
 		lockheldio.Analyzer,
 		snapshotimmut.Analyzer,
-		errenvelope.Analyzer,
 	}
 }
 
