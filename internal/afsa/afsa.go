@@ -67,12 +67,9 @@ type edge struct {
 // Mutability ends at publication: every automaton reachable from a
 // published store snapshot (party publics, bilateral views, checker
 // DFAs) is read concurrently without locks, so mutations are only
-// legal while an automaton is still being constructed. choreolint's
-// snapshotimmut pass enforces this — the mutating methods below may
-// only be reached from //choreolint:builder functions or on freshly
-// constructed automata.
-//
-//choreolint:frozen
+// legal while an automaton is still being constructed. Nothing checks
+// this statically: a write to a published automaton fails the store's
+// allocation pins or its race tests (see docs/checks.md).
 type Automaton struct {
 	// Name is a human-readable identifier carried through operators
 	// for diagnostics ("Buyer public", "τ_Buyer(Accounting)", ...).

@@ -31,21 +31,6 @@ type Interner struct {
 	ranks []int32
 }
 
-// View is the read-only label slice an Interner hands out: Labels()
-// returns the interner's live backing array, shared by every caller
-// and by the interner itself, so a write through a View corrupts the
-// symbol table under every automaton sharing it. choreolint's
-// snapshotimmut pass enforces the read-only contract.
-//
-//choreolint:frozen
-type View []Label
-
-// RankView is the read-only rank slice Ranks() hands out; like View it
-// aliases a cached array shared by every caller.
-//
-//choreolint:frozen
-type RankView []int32
-
 // NewInterner returns an interner holding only ε (as SymEpsilon).
 func NewInterner() *Interner {
 	return &Interner{
@@ -102,10 +87,13 @@ func (in *Interner) Len() int {
 }
 
 // Labels returns a stable read-only view of the interned labels,
-// indexed by symbol. The returned slice must not be modified; it stays
-// valid while the interner grows (appends never move the prefix a
-// caller already holds).
-func (in *Interner) Labels() View {
+// indexed by symbol. The returned slice is the interner's live backing
+// array, shared by every caller and by the interner itself, so it must
+// not be modified: a write through it corrupts the symbol table under
+// every automaton sharing the interner. It stays valid while the
+// interner grows (appends never move the prefix a caller already
+// holds).
+func (in *Interner) Labels() []Label {
 	in.mu.RLock()
 	l := in.labels
 	in.mu.RUnlock()
@@ -114,7 +102,8 @@ func (in *Interner) Labels() View {
 
 // Ranks returns rank[sym] = position of sym's label in the
 // lexicographic order of all currently interned labels. The slice is
-// cached until the interner grows and must be treated as read-only.
+// cached until the interner grows and shared by every caller, so it
+// must be treated as read-only.
 // Ranks are only meaningful relative to each other (rank[s1] <
 // rank[s2] iff label(s1) < label(s2)); that relation is stable across
 // interner growth even though the absolute values shift, so an
@@ -139,7 +128,7 @@ func (in *Interner) Labels() View {
 //     the contract promises.
 //
 // Pinned by TestRanksConcurrentWithIntern under -race.
-func (in *Interner) Ranks() RankView {
+func (in *Interner) Ranks() []int32 {
 	in.mu.RLock()
 	if len(in.ranks) == len(in.labels) {
 		r := in.ranks

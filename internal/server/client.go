@@ -303,12 +303,6 @@ func (c *Client) CreateChoreography(ctx context.Context, id string, sync []strin
 	return err
 }
 
-// DeleteChoreography removes a choreography.
-func (c *Client) DeleteChoreography(ctx context.Context, id string) error {
-	_, err := c.do(ctx, "DELETE", "/v2/choreographies/"+seg(id), nil, nil, nil)
-	return err
-}
-
 // ChoreographiesPage fetches one page of choreography IDs; pageToken
 // "" starts from the beginning, the returned token is "" on the last
 // page.
@@ -726,16 +720,6 @@ func (c *Client) Match(ctx context.Context, choreography, party, matcher string)
 		}
 		req.PageToken = page.NextPageToken
 	}
-}
-
-// ServicesPage fetches one page of published discovery service names.
-func (c *Client) ServicesPage(ctx context.Context, limit int, pageToken string) ([]string, string, error) {
-	var out ServicesResponse
-	path := "/v2/discovery/services?" + pageValues(limit, pageToken)
-	if _, err := c.do(ctx, "GET", path, nil, nil, &out); err != nil {
-		return nil, "", err
-	}
-	return out.Services, out.NextPageToken, nil
 }
 
 // ---- misc ----

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -43,6 +45,7 @@ type sweepCase struct {
 // sweep is a choreod over a journaled store that holds one of
 // everything a route can address, with a case per route.
 type sweep struct {
+	st     *store.Store
 	routes *routeRecorder
 	cases  map[string]sweepCase
 }
@@ -97,7 +100,7 @@ func newSweep(t *testing.T) *sweep {
 	evoID := map[string]string{"evo": evo.Evolution}
 	jobID := map[string]string{"id": id, "job": job.Job}
 
-	sw := &sweep{routes: &routeRecorder{v2Mux: v2Mux{http.NewServeMux()}}, cases: map[string]sweepCase{
+	sw := &sweep{st: st, routes: &routeRecorder{v2Mux: v2Mux{http.NewServeMux()}}, cases: map[string]sweepCase{
 		"GET /v2/stats":                                    {exempt: true},
 		"GET /v2/healthz":                                  {exempt: true},
 		"GET /v2/readyz":                                   {exempt: true},
@@ -235,6 +238,50 @@ func TestRoutesErrorEnvelope(t *testing.T) {
 		if !failed && !neverFails[pattern] {
 			t.Errorf("%s: no request failed, want at least one error", pattern)
 		}
+	}
+}
+
+// TestRoutesRefuseTrailingData sends every POST and PUT route its
+// sweep body (or {} when it has none) followed by a second JSON value.
+// A body is one value, so each must answer 400 invalid_argument and
+// apply nothing: both choreographies stay at their versions, create
+// registers nothing, and the store's counters do not move.
+func TestRoutesRefuseTrailingData(t *testing.T) {
+	sw := newSweep(t)
+	state := func() (uint64, uint64, store.Stats) {
+		t.Helper()
+		snap, err := sw.st.Snapshot(ctx, sw.cases["GET /v2/choreographies/{id}"].values["id"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare, err := sw.st.Snapshot(ctx, "spare")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Version, spare.Version, sw.st.Stats()
+	}
+	for _, pattern := range sw.routes.patterns {
+		if method, _, _ := strings.Cut(pattern, " "); method != http.MethodPost && method != http.MethodPut {
+			continue
+		}
+		c := sw.cases[pattern]
+		if c.body == "" {
+			c.body = "{}"
+		}
+		c.body += "{}"
+		v, spare, stats := state()
+		rec := sw.do(t, ctx, pattern, c)
+		var env ErrorEnvelope
+		_ = json.Unmarshal(rec.Body.Bytes(), &env)
+		if rec.Code != http.StatusBadRequest || env.Code != CodeInvalidArgument {
+			t.Errorf("%s with a trailing value: %d %s, want 400 %s", pattern, rec.Code, rec.Body, CodeInvalidArgument)
+		}
+		if v2, spare2, stats2 := state(); v2 != v || spare2 != spare || !reflect.DeepEqual(stats2, stats) {
+			t.Errorf("%s with a trailing value applied it: versions %d, %d → %d, %d; stats %+v → %+v", pattern, v, spare, v2, spare2, stats, stats2)
+		}
+	}
+	if _, err := sw.st.Snapshot(ctx, "fresh"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("create with a trailing value registered the choreography: %v", err)
 	}
 }
 

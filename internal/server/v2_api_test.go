@@ -60,6 +60,10 @@ func TestV2ErrorEnvelopeCodes(t *testing.T) {
 	huge := append([]byte(`{"id":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)[:maxBodyBytes+1]
 	_, err = c.roundTrip(ctx, "POST", "/v2/choreographies", nil, "", huge, true, nil)
 	wantCode(t, err, 413, CodePayloadTooLarge)
+	// The cap holds past the first value too: decode reads on to EOF.
+	padded := append([]byte(`{"id":"padded"}`), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	_, err = c.roundTrip(ctx, "POST", "/v2/choreographies", nil, "", padded, true, nil)
+	wantCode(t, err, 413, CodePayloadTooLarge)
 }
 
 // TestV2StaleIfMatch pins the optimistic-concurrency contract: a

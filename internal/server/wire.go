@@ -469,19 +469,27 @@ func writeErrorV2(w http.ResponseWriter, err error) {
 // misbehaving peer cannot make either side buffer unbounded data.
 const maxBodyBytes = 8 << 20
 
-// decode reads the request's JSON body into v, refusing unknown fields
-// and any body past maxBodyBytes.
+// decode reads the request's JSON body into v, refusing unknown fields,
+// anything but whitespace after the first JSON value, and any body past
+// maxBodyBytes.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("%w: request body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+	err := dec.Decode(v)
+	trailing := err == nil
+	if trailing {
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return nil
 		}
-		return badRequest("decoding body: %v", err)
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: request body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+	case trailing:
+		return badRequest("decoding body: data after the first JSON value")
+	}
+	return badRequest("decoding body: %v", err)
 }
 
 // noParams reads the body of a route that takes no parameters. It

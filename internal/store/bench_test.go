@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,10 +194,13 @@ func BenchmarkIngestEvents(b *testing.B) {
 // through the cache must be at least 5× faster than the uncached
 // path. The cached path is a map lookup per pair, so the real factor
 // is orders of magnitude larger; 5× keeps the test robust on loaded
-// CI hosts.
+// CI hosts. Each side is the fastest of several repetitions of its
+// loop: test packages run in parallel, and one GC pause or preemption
+// inside the short cached loop would otherwise sink the ratio. A
+// broken cache reads about 1× on every repetition.
 func TestCacheSpeedup(t *testing.T) {
 	s := genStore(t, 4, benchParams)
-	const rounds = 40
+	const rounds, reps = 40, 5
 	// Warm both the view memos and the result cache so the comparison
 	// isolates the consistency computation itself.
 	for i := 0; i < 4; i++ {
@@ -203,33 +208,33 @@ func TestCacheSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	uncachedStart := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, err := s.CheckUncached(ctx, genID(i%4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	uncached := time.Since(uncachedStart)
-
-	cachedStart := time.Now()
-	for i := 0; i < rounds; i++ {
-		rep, err := s.Check(ctx, genID(i%4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range rep.Pairs {
-			if !p.Cached {
-				t.Fatalf("pair %s/%s missed the warm cache", p.A, p.B)
+	fastest := func(check func(context.Context, string) (*CheckReport, error), cached bool) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for r := 0; r < reps; r++ {
+			start := time.Now()
+			for i := 0; i < rounds; i++ {
+				rep, err := check(ctx, genID(i%4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range rep.Pairs {
+					if p.Cached != cached {
+						t.Fatalf("pair %s/%s: cached %v, want %v", p.A, p.B, p.Cached, cached)
+					}
+				}
 			}
+			best = min(best, time.Since(start))
 		}
+		return best
 	}
-	cached := time.Since(cachedStart)
+	uncached := fastest(s.CheckUncached, false)
+	cached := fastest(s.Check, true)
 
 	if cached <= 0 {
 		return // sub-resolution fast: trivially ≥ 5×
 	}
 	factor := float64(uncached) / float64(cached)
-	t.Logf("uncached %v, cached %v → %.1f× speedup", uncached, cached, factor)
+	t.Logf("uncached %v, cached %v → %.1f× speedup (fastest of %d)", uncached, cached, factor, reps)
 	if factor < 5 {
 		t.Fatalf("cache speedup %.1f×, want ≥ 5×", factor)
 	}

@@ -54,7 +54,6 @@ type instRecord struct {
 // grouped by party. Slices are append-only: a record's (party, index)
 // position never changes, which is what journaled tag advances rely on.
 type instShard struct {
-	//choreolint:hotlock
 	mu   sync.Mutex
 	recs map[string][]*instRecord
 	// idx resolves (party, instance id) → the party's FIRST record

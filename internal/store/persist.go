@@ -29,7 +29,11 @@ package store
 // it (taken first; Checkpoint never touches either), every other
 // store lock (shard maps, instance shards, migMu, job locks) sits
 // INSIDE it (persistMu first). Violating either direction can
-// deadlock a checkpoint against a mutator.
+// deadlock a checkpoint against a mutator. Race builds panic on a
+// goroutine that takes commitMu or instAppendMu inside persistMu
+// (lockrank.go). The store's own code blocks only on its locks and in
+// internal/journal (TestStoreBlocksOnlyInJournal); its calls into
+// other packages under a lock are not checked for blocking.
 //
 // Failure protocol. If an append fails, the mutation is not applied
 // and the caller gets the error — the store never holds state the
@@ -594,8 +598,6 @@ func (s *Store) restoreSnapshot(data []byte) error {
 // cache recomputed — only the recorded versions are pinned instead of
 // recounted. Builder: every snapshot and automaton it touches is under
 // construction here, published only at the end via e.snap.Store.
-//
-//choreolint:builder
 func (s *Store) restoreChoreo(pc persistedChoreo) error {
 	procs := make([]*bpel.Process, 0, len(pc.Parties))
 	for _, pp := range pc.Parties {

@@ -94,11 +94,12 @@ func (ps *PartyState) complianceChecker() (*instance.Checker, error) {
 //
 // The immutability is load-bearing: once a snapshot is published via
 // entry.snap, concurrent readers hold it lock-free, so any in-place
-// write is a data race. choreolint's snapshotimmut pass enforces this
-// — writes to a Snapshot are only legal in //choreolint:builder
-// functions operating on a not-yet-published copy.
-//
-//choreolint:frozen
+// write is a data race. Writes to a Snapshot are only legal on a
+// not-yet-published copy (rebuildAll, CommitEvolutionIdem's build,
+// restoreChoreo).
+// Nothing checks this statically: a write to a published snapshot
+// fails the store's tests, allocation pins or race steps (the plant
+// matrix in docs/checks.md).
 type Snapshot struct {
 	// ID is the choreography identifier.
 	ID string

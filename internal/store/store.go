@@ -116,7 +116,7 @@ type entry struct {
 	id string
 
 	// commitMu serializes writers; readers never take it.
-	commitMu sync.Mutex
+	commitMu commitMutex
 	// snap is the current snapshot, atomically published.
 	snap atomic.Pointer[Snapshot]
 
@@ -133,9 +133,7 @@ type entry struct {
 	// append order, because shard slice indices are migration refs
 	// (see recordInstances in persist.go and applyIngest in
 	// ingest.go). Untaken on in-memory stores.
-	//
-	//choreolint:hotlock
-	instAppendMu sync.Mutex
+	instAppendMu instAppendMutex
 
 	// ing is the choreography's streaming event engine, created lazily
 	// on the first IngestEvents call (see ingest.go).
@@ -144,7 +142,6 @@ type entry struct {
 }
 
 type shard struct {
-	//choreolint:hotlock
 	mu      sync.RWMutex
 	entries map[string]*entry
 }
@@ -196,12 +193,12 @@ type Store struct {
 	// Checkpoint: mutators append+apply under the read side, a
 	// checkpoint serializes state and truncates the log under the
 	// write side. Lock order: commitMu and instAppendMu outside
-	// persistMu, all other store locks inside it (see persist.go).
+	// persistMu, all other store locks inside it (see persist.go);
+	// race builds check the first half (lockrank.go).
 	journalDir   string
 	journalFsync bool
 	jnl          *journal.Log
-	//choreolint:hotlock
-	persistMu sync.RWMutex
+	persistMu    persistMutex
 
 	// migs tracks bulk-migration jobs by job ID (see instances.go);
 	// migOrder is their creation order for bounded retention.
@@ -565,8 +562,6 @@ func (s *Store) PutParties(ctx context.Context, id string, procs []*bpel.Process
 // untouched party state is shared with cur. Builder: the successor is
 // under construction until the caller publishes it; the automata it
 // re-interns are the freshly derived publics, never cur's.
-//
-//choreolint:builder
 func (s *Store) rebuildAll(ctx context.Context, cur *Snapshot, procs []*bpel.Process) (*Snapshot, error) {
 	reg, err := InferRegistry(cur.privatesWith(procs), cur.syncOps)
 	if err != nil {
