@@ -1,6 +1,8 @@
 package label
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -50,6 +52,59 @@ func TestParse(t *testing.T) {
 		if err == nil && string(l) != tt.in {
 			t.Errorf("Parse(%q) = %q", tt.in, l)
 		}
+	}
+}
+
+// parseBySplit is Parse as it was written before it validated by
+// index: split into parts, then Make. TestParseMatchesSplit holds the
+// two to the same results and errors.
+func parseBySplit(s string) (Label, error) {
+	if s == "" {
+		return Epsilon, nil
+	}
+	parts := strings.Split(s, Sep)
+	if len(parts) != 3 {
+		return Epsilon, fmt.Errorf("label: %q does not have form Sender#Receiver#op", s)
+	}
+	return Make(parts[0], parts[1], parts[2])
+}
+
+func TestParseMatchesSplit(t *testing.T) {
+	same := func(s string) bool {
+		got, gotErr := Parse(s)
+		want, wantErr := parseBySplit(s)
+		return got == want && fmt.Sprint(gotErr) == fmt.Sprint(wantErr)
+	}
+	for _, s := range []string{
+		"", "#", "##", "###", "A#B#m", "A#B", "A#B#m#x", "#B#m", "A##m", "A#B#",
+		"A", "A#", "ABC#DEF#ghi", "a#b#c#", "#a#b#c", "ε",
+	} {
+		if !same(s) {
+			t.Errorf("Parse(%q) disagrees with the split reference", s)
+		}
+	}
+	// Random strings over a small alphabet hit every separator count.
+	gen := func(bs []byte) bool {
+		for i := range bs {
+			bs[i] = "AB#"[int(bs[i])%3]
+		}
+		return same(string(bs))
+	}
+	if err := quick.Check(gen, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParseAllocs pins Parse of a valid label at zero allocations. The
+// label is built at run time, so the compiler cannot fold the call.
+func TestParseAllocs(t *testing.T) {
+	s := strings.Join([]string{"B", "A", fmt.Sprintf("op%d", len(t.Name()))}, Sep)
+	if got := testing.AllocsPerRun(50, func() {
+		if l, err := Parse(s); err != nil || string(l) != s {
+			t.Fatalf("Parse(%q) = %q, %v", s, l, err)
+		}
+	}); got > 0 {
+		t.Fatalf("Parse allocates %.0f per run, pinned at 0", got)
 	}
 }
 

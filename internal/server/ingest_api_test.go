@@ -85,6 +85,35 @@ func TestIngestEventsValidation(t *testing.T) {
 	}
 }
 
+// TestAddInstancesValidation pins that recording instances refuses
+// what the event path refuses: an empty instance ID and an empty
+// label each answer 400 invalid_argument, and nothing is recorded.
+func TestAddInstancesValidation(t *testing.T) {
+	c, _ := testClient(t)
+	id := paperSetup(t, c)
+
+	for _, bad := range [][]InstanceJSON{
+		{{ID: "", Trace: []string{"B#A#orderOp"}}},
+		{{ID: "ok", Trace: []string{"B#A#orderOp"}}, {ID: "eps", Trace: []string{"", "B#A#orderOp"}}},
+	} {
+		if _, err := c.AddInstances(ctx, id, paperrepro.Buyer, bad); !ErrIs(err, CodeInvalidArgument) {
+			t.Fatalf("AddInstances(%+v) = %v, want %s", bad, err, CodeInvalidArgument)
+		}
+		// A sample in the same request is refused with them.
+		req := InstancesRequest{Instances: bad, Sample: &SampleJSON{Seed: 1, N: 3, MaxLen: 4}}
+		if _, err := c.do(ctx, "POST", "/v2/choreographies/"+id+"/parties/B/instances", nil, req, nil); !ErrIs(err, CodeInvalidArgument) {
+			t.Fatalf("instances %+v with a sample = %v, want %s", bad, err, CodeInvalidArgument)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TrackedInstances != 0 {
+		t.Fatalf("refused requests recorded %d instances", st.TrackedInstances)
+	}
+}
+
 // TestIngestEventsBackpressure pins the 429 contract end to end: a
 // batch over a lane's queue bound answers resource_exhausted with a
 // positive retryAfter detail the client helper can parse.

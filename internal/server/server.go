@@ -321,25 +321,11 @@ func (s *Server) applyOps(ctx context.Context, evo *store.Evolution, req ApplyRe
 	return s.store.ApplyOps(ctx, evo.Choreography, req.Partner, ops, evo.PartnerVersions[req.Partner])
 }
 
-// addInstances records sampled and/or explicit instances; it returns
-// the number recorded.
+// addInstances records explicit and/or sampled instances; it returns
+// the number recorded. The explicit ones go first, so a request they
+// make invalid records no sample either.
 func (s *Server) addInstances(ctx context.Context, id, party string, req InstancesRequest) (int, error) {
 	added := 0
-	if req.Sample != nil {
-		n := req.Sample.N
-		if n <= 0 {
-			n = 100
-		}
-		maxLen := req.Sample.MaxLen
-		if maxLen <= 0 {
-			maxLen = 20
-		}
-		insts, err := s.store.SampleInstances(ctx, id, party, req.Sample.Seed, n, maxLen)
-		if err != nil {
-			return 0, err
-		}
-		added += len(insts)
-	}
 	if len(req.Instances) > 0 {
 		var insts []instance.Instance
 		for _, ij := range req.Instances {
@@ -354,6 +340,21 @@ func (s *Server) addInstances(ctx context.Context, id, party string, req Instanc
 			insts = append(insts, instance.Instance{ID: ij.ID, Trace: trace})
 		}
 		if err := s.store.AddInstances(ctx, id, party, insts); err != nil {
+			return 0, err
+		}
+		added += len(insts)
+	}
+	if req.Sample != nil {
+		n := req.Sample.N
+		if n <= 0 {
+			n = 100
+		}
+		maxLen := req.Sample.MaxLen
+		if maxLen <= 0 {
+			maxLen = 20
+		}
+		insts, err := s.store.SampleInstances(ctx, id, party, req.Sample.Seed, n, maxLen)
+		if err != nil {
 			return 0, err
 		}
 		added += len(insts)

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/afsa"
+	"repro/internal/instance"
 	"repro/internal/label"
 	"repro/internal/paperrepro"
 )
@@ -79,6 +82,47 @@ func TestAdvanceAllocs(t *testing.T) {
 		p.advance(order, 2, 2)
 		if p.live.dev != 1 {
 			t.Fatalf("deviation at %d, want 1", p.live.dev)
+		}
+	})
+}
+
+// TestReplayTraceAllocs pins the per-record replay of every sweep and
+// live-state rebuild at zero allocations, on a 300-message chain whose
+// symbols run past 255 (smaller integers box without allocating): a
+// trace that replays to the end through a foreign label the checker
+// knows, and one whose foreign label it does not know.
+func TestReplayTraceAllocs(t *testing.T) {
+	const n = 300
+	in := label.NewInterner()
+	a := afsa.NewShared("chain", in)
+	q := a.AddState()
+	trace := make([]label.Symbol, n)
+	for i := range trace {
+		next := a.AddState()
+		l := label.New("A", "B", fmt.Sprintf("op%d", i))
+		a.AddTransition(q, l, next)
+		trace[i], _ = in.Lookup(l)
+		q = next
+	}
+	a.SetFinal(q, true)
+	chk, err := instance.NewChecker(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace[n-2] < 256 {
+		t.Fatalf("symbol %d, want one past 255", trace[n-2])
+	}
+	// The last message is stored as foreign text: the label was unknown
+	// when recorded, and a later commit interned it.
+	trace[n-1] = foreignSym(0)
+	known := []label.Label{label.New("A", "B", fmt.Sprintf("op%d", n-1))}
+	unknown := []label.Label{label.New("A", "B", "madeUpOp")}
+	pinAllocs(t, "replayTrace", 0, func() {
+		if q, dev := replayTrace(chk, trace, known); dev != -1 || chk.StatusAt(q) != instance.Migratable {
+			t.Fatalf("replay stopped at %d in state %d, want the whole trace to a final state", dev, q)
+		}
+		if q, dev := replayTrace(chk, trace, unknown); dev != n-1 || q != afsa.None {
+			t.Fatalf("replay deviated at %d, want %d", dev, n-1)
 		}
 	})
 }

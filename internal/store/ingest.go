@@ -22,9 +22,9 @@ package store
 // Live state is derived data: it is not journaled and not
 // checkpointed. Whenever a record's live state is missing or belongs
 // to an older party version (after recovery, or after a schema
-// commit), it is rebuilt by replaying the record's full trace against
-// the party's current memoized compliance checker — once per schema
-// change per instance, not per event.
+// commit), it is rebuilt by replaying the record's stored symbols
+// (replayTrace) against the party's current memoized compliance
+// checker — once per schema change per instance, not per event.
 
 import (
 	"context"
@@ -39,7 +39,9 @@ import (
 
 // symUnknown marks a label the choreography's interner has never seen:
 // no party automaton can carry it on an edge, so it deviates without
-// stepping.
+// stepping. It is a resolution result only and is never stored: a
+// record keeps such a label as foreign text (see instRecord), and
+// symUnknown equals foreignSym(0).
 const symUnknown = label.Symbol(-1)
 
 // instLive is one record's streaming runtime state, valid against one
@@ -64,18 +66,11 @@ func (lv *instLive) status() instance.Status {
 	return lv.chk.StatusAt(lv.state)
 }
 
-// rebuildLive replays a full trace against chk, recording the first
-// deviation point.
-func rebuildLive(chk *instance.Checker, pv uint64, trace []label.Label) instLive {
-	lv := instLive{pv: pv, chk: chk, state: chk.Start(), dev: -1}
-	for i, l := range trace {
-		lv.state = chk.Step(lv.state, l)
-		if lv.state == afsa.None {
-			lv.dev = i
-			break
-		}
-	}
-	return lv
+// rebuildLive replays a record's full stored trace against chk,
+// recording the first deviation point.
+func rebuildLive(chk *instance.Checker, pv uint64, trace []label.Symbol, foreign []label.Label) instLive {
+	q, dev := replayTrace(chk, trace, foreign)
+	return instLive{pv: pv, chk: chk, state: q, dev: dev}
 }
 
 // defaultIngestWorkers is the per-choreography apply concurrency
@@ -195,8 +190,8 @@ type pendingInst struct {
 	id     string
 	schema uint64 // creation tag, or the record's tag at batch start
 	live   instLive
-	added  []label.Label
-	tagTo  uint64 // online-migration advance decided this batch (0 = none)
+	added  []int32 // the instance's events, as indexes into the batch
+	tagTo  uint64  // online-migration advance decided this batch (0 = none)
 }
 
 // advance steps one event through the pending instance's simulated
@@ -250,18 +245,13 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 		}
 		chks[ev.Party] = chk
 	}
-	// Resolve each distinct label to its shared-interner symbol once
-	// per batch; unknown labels (symUnknown) deviate without stepping.
-	syms := map[label.Label]label.Symbol{}
-	for _, ev := range evs {
-		if _, ok := syms[ev.Label]; ok {
-			continue
-		}
-		if sym, ok := snap.syms.Lookup(ev.Label); ok {
-			syms[ev.Label] = sym
-		} else {
-			syms[ev.Label] = symUnknown
-		}
+	// Resolve every event's label to its shared-interner symbol before
+	// taking any lock, through one memo per batch; an unknown label
+	// (symUnknown) deviates without stepping and is stored as text.
+	syms := newLabelSyms(snap.syms)
+	evSyms := make([]label.Symbol, len(evs))
+	for i, ev := range evs {
+		evSyms[i] = syms.of(ev.Label)
 	}
 
 	// Lock discipline of recordInstances: instance-append lock, then
@@ -279,10 +269,10 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 	defer sh.mu.Unlock()
 
 	// Phase 1: simulate.
-	pend := map[string]*pendingInst{}
+	pend := map[instIdxKey]*pendingInst{}
 	var order []*pendingInst
-	for _, ev := range evs {
-		k := instIdxKey(ev.Party, ev.Instance)
+	for i, ev := range evs {
+		k := instIdxKey{ev.Party, ev.Instance}
 		p := pend[k]
 		if p == nil {
 			ps := snap.parties[ev.Party]
@@ -292,7 +282,7 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 				if rec.live != nil && rec.live.pv == ps.Version {
 					p.live = *rec.live
 				} else {
-					p.live = rebuildLive(chk, ps.Version, rec.inst.Trace)
+					p.live = rebuildLive(chk, ps.Version, rec.trace, rec.foreign)
 				}
 			} else {
 				p = &pendingInst{
@@ -305,10 +295,10 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 		}
 		pos := len(p.added)
 		if p.rec != nil {
-			pos += len(p.rec.inst.Trace)
+			pos += len(p.rec.trace)
 		}
-		p.added = append(p.added, ev.Label)
-		p.advance(syms[ev.Label], pos, snap.Version)
+		p.added = append(p.added, int32(i))
+		p.advance(evSyms[i], pos, snap.Version)
 	}
 
 	// Phase 2: journal the batch with its decided facts.
@@ -333,10 +323,12 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 	for _, p := range order {
 		r := p.rec
 		if r == nil {
-			r = &instRecord{inst: instance.Instance{ID: p.id}, schema: p.schema}
+			r = &instRecord{id: p.id, schema: p.schema}
 			sh.appendLocked(p.party, r)
 		}
-		r.inst.Trace = append(r.inst.Trace, p.added...)
+		for _, i := range p.added {
+			r.appendMsg(evSyms[i], evs[i].Label)
+		}
 		if p.tagTo > r.schema {
 			r.schema = p.tagTo
 			s.onlineMigrations.Add(1)
@@ -388,27 +380,23 @@ func (s *Store) InstanceStates(ctx context.Context, id, party string) ([]Instanc
 		return nil, err
 	}
 	type capture struct {
-		id     string
-		trace  []label.Label
-		schema uint64
-		live   *instLive
+		id      string
+		trace   []label.Symbol
+		foreign []label.Label
+		schema  uint64
+		live    *instLive
 	}
 	var caps []capture
-	for i := range e.inst {
-		sh := &e.inst[i]
-		sh.mu.Lock()
-		for _, rec := range sh.recs[party] {
-			caps = append(caps, capture{id: rec.inst.ID, trace: rec.inst.Trace, schema: rec.schema, live: rec.live})
-		}
-		sh.mu.Unlock()
-	}
+	e.eachRecord(party, func(rec *instRecord, _ []label.Label) {
+		caps = append(caps, capture{id: rec.id, trace: rec.trace, foreign: rec.foreign, schema: rec.schema, live: rec.live})
+	})
 	out := make([]InstanceState, 0, len(caps))
 	for _, c := range caps {
 		lv := instLive{}
 		if c.live != nil && c.live.pv == ps.Version {
 			lv = *c.live
 		} else {
-			lv = rebuildLive(chk, ps.Version, c.trace)
+			lv = rebuildLive(chk, ps.Version, c.trace, c.foreign)
 		}
 		out = append(out, InstanceState{
 			Party: party, ID: c.id, TracePos: len(c.trace),

@@ -359,7 +359,7 @@ func TestIngestConcurrentHammer(t *testing.T) {
 		streams[g] = interleave(party, insts)
 	}
 	var wg sync.WaitGroup
-	errc := make(chan error, ingesters+3)
+	errc := make(chan error, ingesters+4)
 	for g := 0; g < ingesters; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -423,6 +423,26 @@ func TestIngestConcurrentHammer(t *testing.T) {
 				errc <- fmt.Errorf("sample: %w", err)
 				return
 			}
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Readers race the writers: InstanceStates replays stored
+		// traces outside the shard locks, InstanceRecords renders them
+		// as labels, and Stats sums the per-shard counts unlocked.
+		for i := 0; i < rounds; i++ {
+			for _, party := range parties {
+				if _, err := s.InstanceStates(ctx, id, party); err != nil {
+					errc <- fmt.Errorf("states: %w", err)
+					return
+				}
+				if _, err := s.InstanceRecords(ctx, id, party); err != nil {
+					errc <- fmt.Errorf("records: %w", err)
+					return
+				}
+			}
+			s.Stats()
 		}
 	}()
 	wg.Wait()

@@ -6,9 +6,11 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/afsa"
 	"repro/internal/instance"
+	"repro/internal/label"
 	"repro/internal/migrate"
 )
 
@@ -34,8 +36,21 @@ const instShardCount = 64
 // are addressed by pointer, so a commit tags them in place regardless
 // of concurrent appends.
 type instRecord struct {
-	inst   instance.Instance
-	schema uint64
+	id string
+	// trace is the message sequence as symbols of the choreography's
+	// shared interner, e.snap.Load().syms: that interner is fixed per
+	// entry (newEntry or restoreChoreo creates it, Snapshot.clone
+	// shares it), so every replay steps with StepSym and hashes no
+	// label. A label the interner did not hold when its message was
+	// recorded stays text in foreign, named by a negative symbol
+	// (foreignSym: -1-i names foreign[i]); replay steps it through the
+	// checker's own label map, so a later commit that introduces the
+	// label still replays it. Recording looks labels up and never
+	// interns them: the shared interner holds committed labels only,
+	// and every checker's step table is as wide as the interner.
+	trace   []label.Symbol
+	foreign []label.Label
+	schema  uint64
 	// ref is the record's index in its party's shard slice — the
 	// stable address migration refs and journaled tag advances use.
 	// Set at append time; records never move.
@@ -50,6 +65,82 @@ type instRecord struct {
 	live *instLive
 }
 
+// foreignSym is the stored symbol naming foreign[i].
+func foreignSym(i int) label.Symbol { return -1 - label.Symbol(i) }
+
+// appendMsg records one message that syms resolved to sym.
+func (r *instRecord) appendMsg(sym label.Symbol, l label.Label) {
+	if sym == symUnknown {
+		sym = foreignSym(len(r.foreign))
+		r.foreign = append(r.foreign, l)
+	}
+	r.trace = append(r.trace, sym)
+}
+
+// labeled renders the record with a label trace; names is the
+// interner's Labels(), taken under the record's shard lock so that it
+// covers every symbol the record holds.
+func (r *instRecord) labeled(names []label.Label) instance.Instance {
+	inst := instance.Instance{ID: r.id}
+	if len(r.trace) > 0 {
+		inst.Trace = make([]label.Label, len(r.trace))
+		for i, sym := range r.trace {
+			if sym < 0 {
+				inst.Trace[i] = r.foreign[-1-sym]
+			} else {
+				inst.Trace[i] = names[sym]
+			}
+		}
+	}
+	return inst
+}
+
+// replayTrace replays a stored trace through chk from its start state.
+// It returns the reached state and the index of the first message the
+// checker cannot step (afsa.None and that index, or -1 when the whole
+// trace replays). This is every sweep's per-instance kernel;
+// TestReplayTraceAllocs pins it at zero allocations.
+func replayTrace(chk *instance.Checker, trace []label.Symbol, foreign []label.Label) (afsa.StateID, int) {
+	q := chk.Start()
+	for i, sym := range trace {
+		if sym < 0 {
+			q = chk.Step(q, foreign[-1-sym])
+		} else {
+			q = chk.StepSym(q, sym)
+		}
+		if q == afsa.None {
+			return afsa.None, i
+		}
+	}
+	return q, -1
+}
+
+// labelSyms resolves labels to the symbols of a choreography's shared
+// interner through a local memo, so a batch takes the interner's read
+// lock once per distinct label rather than once per message. A label
+// the interner does not hold resolves to symUnknown; it is never
+// interned (see instRecord).
+type labelSyms struct {
+	in   *label.Interner
+	memo map[label.Label]label.Symbol
+}
+
+func newLabelSyms(in *label.Interner) labelSyms {
+	return labelSyms{in: in, memo: map[label.Label]label.Symbol{}}
+}
+
+func (ls labelSyms) of(l label.Label) label.Symbol {
+	if sym, ok := ls.memo[l]; ok {
+		return sym
+	}
+	sym, ok := ls.in.Lookup(l)
+	if !ok {
+		sym = symUnknown
+	}
+	ls.memo[l] = sym
+	return sym
+}
+
 // instShard is one lockable slice of a choreography's instances,
 // grouped by party. Slices are append-only: a record's (party, index)
 // position never changes, which is what journaled tag advances rely on.
@@ -60,7 +151,10 @@ type instShard struct {
 	// with that id; the streaming event path appends to that record.
 	// Later duplicates recorded through AddInstances never displace
 	// the first, keeping the mapping deterministic across replay.
-	idx map[string]*instRecord
+	idx map[instIdxKey]*instRecord
+	// n counts the shard's records. appendLocked raises it; Stats
+	// reads it without taking mu.
+	n atomic.Int64
 }
 
 func instShardOf(party, id string) int {
@@ -71,8 +165,8 @@ func instShardOf(party, id string) int {
 	return int(h.Sum32() % instShardCount)
 }
 
-// instIdxKey flattens (party, instance id) into one idx map key.
-func instIdxKey(party, id string) string { return party + "\x00" + id }
+// instIdxKey keys the id index by (party, instance id).
+type instIdxKey struct{ party, id string }
 
 // appendLocked appends one record to party's slice, assigning its ref
 // and registering it in the id index; the caller holds sh.mu.
@@ -81,44 +175,64 @@ func (sh *instShard) appendLocked(party string, rec *instRecord) {
 		sh.recs = map[string][]*instRecord{}
 	}
 	if sh.idx == nil {
-		sh.idx = map[string]*instRecord{}
+		sh.idx = map[instIdxKey]*instRecord{}
 	}
 	rec.ref = len(sh.recs[party])
 	sh.recs[party] = append(sh.recs[party], rec)
-	if k := instIdxKey(party, rec.inst.ID); sh.idx[k] == nil {
+	if k := (instIdxKey{party, rec.id}); sh.idx[k] == nil {
 		sh.idx[k] = rec
 	}
+	sh.n.Add(1)
 }
 
 // addInstances distributes records over e's instance shards, tagging
-// them with the given snapshot version.
-func (e *entry) addInstances(party string, insts []instance.Instance, schema uint64) {
+// them with the given snapshot version; syms resolves their labels.
+func (e *entry) addInstances(party string, insts []instance.Instance, schema uint64, syms labelSyms) {
 	for _, inst := range insts {
+		r := &instRecord{id: inst.ID, schema: schema, trace: make([]label.Symbol, 0, len(inst.Trace))}
+		for _, l := range inst.Trace {
+			r.appendMsg(syms.of(l), l)
+		}
 		sh := &e.inst[instShardOf(party, inst.ID)]
 		sh.mu.Lock()
-		sh.appendLocked(party, &instRecord{inst: inst, schema: schema})
+		sh.appendLocked(party, r)
 		sh.mu.Unlock()
 	}
 }
 
 // instancesOf collects party's instances across shards (deterministic
-// shard order, not insertion order).
+// shard order, not insertion order), with label traces.
 func (e *entry) instancesOf(party string) []instance.Instance {
 	var out []instance.Instance
+	e.eachRecord(party, func(rec *instRecord, names []label.Label) {
+		out = append(out, rec.labeled(names))
+	})
+	return out
+}
+
+// eachRecord calls f on party's records in shard order, one shard lock
+// at a time; names resolves the records' symbols (see
+// instRecord.labeled).
+func (e *entry) eachRecord(party string, f func(rec *instRecord, names []label.Label)) {
+	syms := e.snap.Load().syms
 	for i := range e.inst {
 		sh := &e.inst[i]
 		sh.mu.Lock()
-		for _, rec := range sh.recs[party] {
-			out = append(out, rec.inst)
+		if recs := sh.recs[party]; len(recs) > 0 {
+			names := syms.Labels()
+			for _, rec := range recs {
+				f(rec, names)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	return out
 }
 
 // AddInstances records running conversations of a party. The records
 // are tagged with the current snapshot version — the schema they are
-// assumed to comply with until a bulk migration moves them.
+// assumed to comply with until a bulk migration moves them. An empty
+// instance ID or an empty (ε) label fails with ErrInvalid, as it does
+// on the streaming path; nothing is recorded then.
 func (s *Store) AddInstances(ctx context.Context, id, party string, insts []instance.Instance) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
@@ -135,6 +249,16 @@ func (s *Store) AddInstances(ctx context.Context, id, party string, insts []inst
 	snap := e.snap.Load()
 	if _, ok := snap.parties[party]; !ok {
 		return fmt.Errorf("%w: party %q in choreography %q", ErrNotFound, party, id)
+	}
+	for _, inst := range insts {
+		if inst.ID == "" {
+			return fmt.Errorf("%w: instances need an id", ErrInvalid)
+		}
+		for _, l := range inst.Trace {
+			if l == label.Epsilon {
+				return fmt.Errorf("%w: instance %q: empty label", ErrInvalid, inst.ID)
+			}
+		}
 	}
 	return s.recordInstances(e, party, insts, snap.Version)
 }
@@ -202,14 +326,9 @@ func (s *Store) InstanceRecords(ctx context.Context, id, party string) ([]Instan
 		return nil, err
 	}
 	var out []InstanceRecord
-	for i := range e.inst {
-		sh := &e.inst[i]
-		sh.mu.Lock()
-		for _, rec := range sh.recs[party] {
-			out = append(out, InstanceRecord{Inst: rec.inst, Schema: rec.schema})
-		}
-		sh.mu.Unlock()
-	}
+	e.eachRecord(party, func(rec *instRecord, names []label.Label) {
+		out = append(out, InstanceRecord{Inst: rec.labeled(names), Schema: rec.schema})
+	})
 	return out, nil
 }
 
@@ -217,7 +336,9 @@ func (s *Store) InstanceRecords(ctx context.Context, id, party string) ([]Instan
 // (ADEPT-style compliance, Sec. 8). A nil candidate means the party's
 // current public process — served by the party state's memoized
 // compliance checker; passing a pending Evolution's NewPublic answers
-// "what would break" before committing.
+// "what would break" before committing. It replays label traces: a
+// pending candidate lives on its own interner (see evolveSnapshot), so
+// the stored symbols mean nothing to it.
 func (s *Store) Migrate(ctx context.Context, id, party string, candidate *afsa.Automaton) (*instance.Report, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -249,8 +370,9 @@ const maxMigrationJobs = 256
 
 // sweepShard is the store's migrate.ShardFunc: it sweeps one instance
 // shard toward snap for job in a single pass under the shard lock.
-// Every record is classified in place against snap's memoized
-// compliance checkers; the shard's outcome — the schema-tag advances
+// Every record is classified in place by replaying its stored symbols
+// (replayTrace) through snap's memoized compliance checkers; the
+// shard's outcome — the schema-tag advances
 // as runs of refs, plus the job fold — is journaled as one migShard
 // record; only then do the tags advance and the shard fold into job.
 // Nothing is copied out of the shard, and a failed append applies and
@@ -296,7 +418,8 @@ func (s *Store) sweepShard(ctx context.Context, e *entry, snap *Snapshot, job *m
 			// Tags only ever advance: a slow sweep toward an older
 			// snapshot leaves records a newer sweep (or a post-commit
 			// recording) already moved past its target alone.
-			if t.Add(party, r.inst.ID, chk.Check(r.inst)) && r.schema < snap.Version {
+			q, _ := replayTrace(chk, r.trace, r.foreign)
+			if t.Add(party, r.id, chk.StatusAt(q)) && r.schema < snap.Version {
 				tags.add(ref)
 			}
 		}

@@ -439,8 +439,9 @@ func (s *Store) publish(e *entry, next *Snapshot, touched []*bpel.Process, key s
 // indices are migration refs, so replay must rebuild the slices in
 // exactly the original order.
 func (s *Store) recordInstances(e *entry, party string, insts []instance.Instance, schema uint64) error {
+	syms := newLabelSyms(e.snap.Load().syms)
 	if s.jnl == nil {
-		e.addInstances(party, insts, schema)
+		e.addInstances(party, insts, schema, syms)
 		return nil
 	}
 	rec := recInstances{ID: e.id, Party: party, Schema: schema, Insts: make([]persistedInst, 0, len(insts))}
@@ -457,7 +458,7 @@ func (s *Store) recordInstances(e *entry, party string, insts []instance.Instanc
 	if err := s.appendWAL(&walRecord{Instances: &rec}); err != nil {
 		return err
 	}
-	e.addInstances(party, insts, schema)
+	e.addInstances(party, insts, schema, syms)
 	return nil
 }
 
@@ -545,9 +546,13 @@ func persistChoreo(e *entry) (persistedChoreo, error) {
 		}
 		pc.Parties = append(pc.Parties, persistedParty{Name: name, Version: ps.Version, XML: string(xml)})
 	}
+	// Traces are checkpointed as label text, like the WAL records:
+	// symbols are an in-memory encoding, and recovery resolves the
+	// labels again through the recovered interner.
 	for i := range e.inst {
 		sh := &e.inst[i]
 		sh.mu.Lock()
+		names := snap.syms.Labels()
 		parties := make([]string, 0, len(sh.recs))
 		for party := range sh.recs {
 			parties = append(parties, party)
@@ -556,7 +561,7 @@ func persistChoreo(e *entry) (persistedChoreo, error) {
 		for _, party := range parties {
 			for _, rec := range sh.recs[party] {
 				pc.Instances = append(pc.Instances, persistedInst{
-					Party: party, ID: rec.inst.ID, Trace: rec.inst.Trace, Schema: rec.schema,
+					Party: party, ID: rec.id, Trace: rec.labeled(names).Trace, Schema: rec.schema,
 				})
 			}
 		}
@@ -634,8 +639,9 @@ func (s *Store) restoreChoreo(pc persistedChoreo) error {
 	snap.computePairs()
 	e := &entry{id: pc.ID, cons: map[pairKey]bool{}}
 	e.snap.Store(snap)
+	syms := newLabelSyms(snap.syms)
 	for _, pi := range pc.Instances {
-		e.addInstances(pi.Party, []instance.Instance{{ID: pi.ID, Trace: pi.Trace}}, pi.Schema)
+		e.addInstances(pi.Party, []instance.Instance{{ID: pi.ID, Trace: pi.Trace}}, pi.Schema, syms)
 	}
 	sh := s.shardOf(pc.ID)
 	sh.mu.Lock()
@@ -737,8 +743,9 @@ func (s *Store) applyInstances(rec *recInstances) error {
 	if err != nil {
 		return nil // raced a delete; see applyCommit
 	}
+	syms := newLabelSyms(e.snap.Load().syms)
 	for _, pi := range rec.Insts {
-		e.addInstances(rec.Party, []instance.Instance{{ID: pi.ID, Trace: pi.Trace}}, rec.Schema)
+		e.addInstances(rec.Party, []instance.Instance{{ID: pi.ID, Trace: pi.Trace}}, rec.Schema, syms)
 	}
 	return nil
 }
@@ -757,25 +764,26 @@ func (s *Store) applyEvents(rec *recEvents) error {
 	if rec.Shard < 0 || rec.Shard >= instShardCount {
 		return fmt.Errorf("ingested events for %q: shard %d out of range", rec.ID, rec.Shard)
 	}
-	created := make(map[string]uint64, len(rec.Created))
+	created := make(map[instIdxKey]uint64, len(rec.Created))
 	for _, c := range rec.Created {
-		created[instIdxKey(c.Party, c.Inst)] = c.Schema
+		created[instIdxKey{c.Party, c.Inst}] = c.Schema
 	}
+	syms := newLabelSyms(e.snap.Load().syms)
 	sh := &e.inst[rec.Shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, ev := range rec.Events {
-		k := instIdxKey(ev.Party, ev.Inst)
+		k := instIdxKey{ev.Party, ev.Inst}
 		r := sh.idx[k]
 		if r == nil {
 			schema, isNew := created[k]
 			if !isNew {
 				return fmt.Errorf("ingested events for %q: unknown instance %s/%s", rec.ID, ev.Party, ev.Inst)
 			}
-			r = &instRecord{inst: instance.Instance{ID: ev.Inst}, schema: schema}
+			r = &instRecord{id: ev.Inst, schema: schema}
 			sh.appendLocked(ev.Party, r)
 		}
-		r.inst.Trace = append(r.inst.Trace, ev.Label)
+		r.appendMsg(syms.of(ev.Label), ev.Label)
 	}
 	for _, ref := range rec.Tags {
 		recs := sh.recs[ref.Party]

@@ -48,13 +48,14 @@ func instLayout(e *entry) []instKey {
 			parties = append(parties, party)
 		}
 		sort.Strings(parties)
+		names := e.snap.Load().syms.Labels()
 		for _, party := range parties {
 			for idx, rec := range sh.recs[party] {
 				trace := ""
-				for _, l := range rec.inst.Trace {
+				for _, l := range rec.labeled(names).Trace {
 					trace += string(l) + ";"
 				}
-				out = append(out, instKey{shard: i, party: party, idx: idx, id: rec.inst.ID, trace: trace, schema: rec.schema})
+				out = append(out, instKey{shard: i, party: party, idx: idx, id: rec.id, trace: trace, schema: rec.schema})
 			}
 		}
 		sh.mu.Unlock()
@@ -596,7 +597,7 @@ func TestRecoverLegacyMigrationRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ref, r := range e.inst[shard].recs[party] {
-				if tally.Add(party, r.inst.ID, chk.Check(r.inst)) {
+				if tally.Add(party, r.id, chk.Check(r.labeled(snap.syms.Labels()))) {
 					tags.Refs = append(tags.Refs, tagRef{Party: party, Ref: ref})
 				}
 			}

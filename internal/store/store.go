@@ -738,8 +738,9 @@ func (s *Store) View(ctx context.Context, id, of, forParty string) (*afsa.Automa
 }
 
 // Stats returns cumulative counters plus a momentary census of the
-// tracked-instance population (counted under the instance-shard locks,
-// one shard at a time).
+// tracked-instance population, summed from per-shard atomic counts:
+// a scrape takes no instance-shard lock, so it never waits on an
+// ingest batch's journal append.
 func (s *Store) Stats() Stats {
 	n := 0
 	byChoreo := map[string]int{}
@@ -754,16 +755,11 @@ func (s *Store) Stats() Stats {
 		sh.mu.RUnlock()
 		n += len(es)
 		for _, e := range es {
-			count := 0
+			count := int64(0)
 			for j := range e.inst {
-				ish := &e.inst[j]
-				ish.mu.Lock()
-				for _, recs := range ish.recs {
-					count += len(recs)
-				}
-				ish.mu.Unlock()
+				count += e.inst[j].n.Load()
 			}
-			byChoreo[e.id] = count
+			byChoreo[e.id] = int(count)
 			e.ingMu.Lock()
 			ing := e.ing
 			e.ingMu.Unlock()
