@@ -14,7 +14,7 @@ import (
 // garbage input, a valid single-record WAL, a truncated one, one with
 // a torn second frame and one with a corrupt checksum.
 func walSeeds() [][]byte {
-	valid := frame(1, []byte("record-one"))
+	valid := appendFrame(nil, 1, []byte("record-one"))
 	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)-1] ^= 0xff
 	return [][]byte{
@@ -22,7 +22,7 @@ func walSeeds() [][]byte {
 		{0x7f, 0x3a, 0x99},
 		valid,
 		valid[:len(valid)-3],
-		append(append([]byte{}, valid...), frame(2, []byte("record-two"))[:5]...),
+		append(append([]byte{}, valid...), appendFrame(nil, 2, []byte("record-two"))[:5]...),
 		flipped,
 	}
 }
@@ -95,7 +95,7 @@ func FuzzScanWAL(f *testing.F) {
 	// A multi-record log whose snapshot covers its first two records.
 	var multi []byte
 	for lsn := uint64(1); lsn <= 4; lsn++ {
-		multi = append(multi, frame(lsn, []byte(fmt.Sprintf("record-%d", lsn)))...)
+		multi = append(multi, appendFrame(nil, lsn, []byte(fmt.Sprintf("record-%d", lsn)))...)
 	}
 	f.Add(multi, uint64(2))
 
@@ -118,7 +118,7 @@ func FuzzScanWAL(f *testing.F) {
 		}
 		next := base + 1
 		payload := []byte("post-recovery")
-		grown := append(data[:good:good], frame(next, payload)...)
+		grown := append(data[:good:good], appendFrame(nil, next, payload)...)
 		tail3, last3, good3 := scanWAL(grown, snapLSN)
 		if good3 != len(grown) || last3 != next || len(tail3) != len(tail)+1 {
 			t.Fatalf("after appending LSN %d: good %d of %d, last %d, %d records (want %d)",

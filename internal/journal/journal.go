@@ -36,6 +36,13 @@
 // snapshots are written to a temporary file and atomically renamed,
 // so a damaged snapshot means real corruption, never a crash window.
 //
+// # Record size
+//
+// A WAL frame whose length prefix exceeds MaxRecordBytes reads as a
+// torn tail, so Append refuses a payload that would need one with
+// ErrTooLarge and writes nothing. The snapshot frame is bounded by its
+// file's length instead, so a checkpoint of any size recovers.
+//
 // # Durability
 //
 // Append writes synchronously — the record is in the operating
@@ -67,14 +74,25 @@ const (
 	// lsnSize prefixes every payload.
 	lsnSize = 8
 
-	// MaxRecordBytes bounds one record's payload. A length prefix past
-	// this is treated as a torn/corrupt tail rather than an allocation
-	// request.
+	// MaxRecordBytes bounds one WAL record's payload, its LSN
+	// included. A length prefix past this is treated as a torn/corrupt
+	// tail rather than an allocation request, and Append refuses a
+	// record that would need one.
 	MaxRecordBytes = 64 << 20
+
+	// keepFrameBytes bounds the frame buffer Append keeps between
+	// calls: it frames payloads of up to 16 KiB, and a larger record is
+	// framed in a buffer of its own that is dropped after the write.
+	keepFrameBytes = frameHeader + lsnSize + 16<<10
 )
 
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("journal: log closed")
+
+// ErrTooLarge reports a record whose frame the recovery scan would
+// discard as a torn tail (see MaxRecordBytes). Nothing is written and
+// the log stays usable.
+var ErrTooLarge = errors.New("journal: record too large")
 
 // ErrPoisoned reports use of a log whose failed append could not be
 // rolled back: the on-disk tail is in an unknown state, so every
@@ -112,6 +130,7 @@ type Log struct {
 	lsn     uint64 // last assigned LSN
 	snapLSN uint64 // LSN covered by the current snapshot
 	walLen  int64  // current WAL size in bytes
+	buf     []byte // Append's reused frame buffer, at most keepFrameBytes
 	closed  bool
 	// broken poisons the log after a failed append could not be
 	// rolled back: the on-disk tail is in an unknown state, so
@@ -154,7 +173,9 @@ func (l *Log) readSnapshot() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	lsn, payload, n, ferr := parseFrame(data)
+	// Bounded by the file, not MaxRecordBytes: a checkpoint is written
+	// whole through tmp+rename, so its length prefix is never torn.
+	lsn, payload, n, ferr := parseFrame(data, len(data))
 	if ferr != nil || n != len(data) {
 		return nil, fmt.Errorf("journal: corrupt snapshot %s: %v", snapName, ferr)
 	}
@@ -197,7 +218,7 @@ func (l *Log) openWAL() ([]Record, error) {
 // frame: the length the torn tail is truncated to.
 func scanWAL(data []byte, snapLSN uint64) (tail []Record, last uint64, good int) {
 	for good < len(data) {
-		lsn, payload, n, err := parseFrame(data[good:])
+		lsn, payload, n, err := parseFrame(data[good:], MaxRecordBytes)
 		if err != nil {
 			break // torn or corrupt tail: keep what we have
 		}
@@ -213,14 +234,15 @@ func scanWAL(data []byte, snapLSN uint64) (tail []Record, last uint64, good int)
 
 // parseFrame decodes one frame from the head of data, returning the
 // payload's LSN, the data after the LSN, and the total frame size. An
-// incomplete or checksum-failing frame is an error (the torn-tail
-// signal — callers stop scanning there).
-func parseFrame(data []byte) (lsn uint64, payload []byte, size int, err error) {
+// incomplete or checksum-failing frame, or one whose payload length
+// exceeds limit, is an error (the torn-tail signal — callers stop
+// scanning there).
+func parseFrame(data []byte, limit int) (lsn uint64, payload []byte, size int, err error) {
 	if len(data) < frameHeader {
 		return 0, nil, 0, errors.New("short header")
 	}
 	n := int(binary.BigEndian.Uint32(data))
-	if n < lsnSize || n > MaxRecordBytes {
+	if n < lsnSize || n > limit {
 		return 0, nil, 0, fmt.Errorf("implausible payload length %d", n)
 	}
 	if len(data) < frameHeader+n {
@@ -233,14 +255,21 @@ func parseFrame(data []byte) (lsn uint64, payload []byte, size int, err error) {
 	return binary.BigEndian.Uint64(body), body[lsnSize:], frameHeader + n, nil
 }
 
-// frame encodes one payload (LSN + data) into a framed record.
-func frame(lsn uint64, data []byte) []byte {
-	buf := make([]byte, frameHeader+lsnSize+len(data))
-	binary.BigEndian.PutUint32(buf, uint32(lsnSize+len(data)))
-	binary.BigEndian.PutUint64(buf[frameHeader:], lsn)
-	copy(buf[frameHeader+lsnSize:], data)
-	binary.BigEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHeader:]))
+// appendHeader appends the frame header and LSN that precede data in
+// the frame of one payload (LSN + data); data follows them on disk.
+func appendHeader(buf []byte, lsn uint64, data []byte) []byte {
+	start := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(lsnSize+len(data)))
+	buf = append(buf, 0, 0, 0, 0) // the checksum, set below
+	buf = binary.BigEndian.AppendUint64(buf, lsn)
+	crc := crc32.Update(crc32.ChecksumIEEE(buf[start+frameHeader:]), crc32.IEEETable, data)
+	binary.BigEndian.PutUint32(buf[start+4:], crc)
 	return buf
+}
+
+// appendFrame appends the framed record of one payload to buf.
+func appendFrame(buf []byte, lsn uint64, data []byte) []byte {
+	return append(appendHeader(buf, lsn, data), data...)
 }
 
 // Append writes one record and returns its LSN. The write is
@@ -250,8 +279,15 @@ func frame(lsn uint64, data []byte) []byte {
 // recovery can never resurrect a mutation the caller was told failed,
 // and a retry reuses the LSN cleanly. If even the rollback fails the
 // log is poisoned — every further Append and Checkpoint errors — so
-// nothing is ever written after an unknown tail.
+// nothing is ever written after an unknown tail. A payload past
+// MaxRecordBytes fails with ErrTooLarge before anything is written.
+//
+// The frame is built in a buffer the log reuses under its lock, so an
+// append of a payload of up to 16 KiB allocates nothing.
 func (l *Log) Append(data []byte) (uint64, error) {
+	if lsnSize+len(data) > MaxRecordBytes {
+		return 0, fmt.Errorf("%w: %d-byte payload, the limit is %d", ErrTooLarge, len(data), MaxRecordBytes-lsnSize)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -260,7 +296,16 @@ func (l *Log) Append(data []byte) (uint64, error) {
 	if l.broken {
 		return 0, ErrPoisoned
 	}
-	buf := frame(l.lsn+1, data)
+	buf := l.buf
+	if n := frameHeader + lsnSize + len(data); n > cap(buf) {
+		if n > keepFrameBytes {
+			buf = make([]byte, 0, n)
+		} else {
+			buf = make([]byte, 0, min(max(n, 2*cap(buf)), keepFrameBytes))
+			l.buf = buf
+		}
+	}
+	buf = appendFrame(buf[:0], l.lsn+1, data)
 	if _, err := l.wal.Write(buf); err != nil {
 		l.rewindLocked()
 		return 0, fmt.Errorf("journal: append: %w", err)
@@ -313,7 +358,12 @@ func (l *Log) Checkpoint(snap []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: checkpoint: %w", err)
 	}
-	_, werr := f.Write(frame(l.lsn, snap))
+	// The header and the snapshot are written apart, so a checkpoint
+	// never holds a second copy of the snapshot in memory.
+	_, werr := f.Write(appendHeader(nil, l.lsn, snap))
+	if werr == nil {
+		_, werr = f.Write(snap)
+	}
 	if serr := f.Sync(); werr == nil {
 		werr = serr
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -180,7 +181,7 @@ func TestCheckpointCrashWindow(t *testing.T) {
 	}
 	// Simulate the crash window by hand: write the snapshot frame
 	// exactly as Checkpoint would, but leave wal.log untouched.
-	if err := os.WriteFile(filepath.Join(dir, snapName), frame(l.LSN(), []byte("covers-4")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName), appendFrame(nil, l.LSN(), []byte("covers-4")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -234,5 +235,89 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
+	}
+}
+
+// TestJournalAppendAllocs pins Append at zero allocations for payloads
+// of up to 16 KiB: the frame is built in the buffer the log reuses.
+func TestJournalAppendAllocs(t *testing.T) {
+	l, _, _ := mustOpen(t, t.TempDir())
+	defer l.Close()
+	for _, n := range []int{1, 300, 16 << 10} {
+		data := bytes.Repeat([]byte{'x'}, n)
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := l.Append(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Fatalf("Append of a %d-byte payload allocates %.0f per run, pinned at 0", n, got)
+		}
+	}
+}
+
+// TestAppendTooLarge appends a payload one byte past what a WAL frame
+// may carry. The recovery scan would discard its frame as a torn tail,
+// and every record after it, so Append must refuse it with ErrTooLarge,
+// write nothing and keep appending.
+func TestAppendTooLarge(t *testing.T) {
+	dir := t.TempDir()
+	l, _, _ := mustOpen(t, dir)
+	if _, err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	size := l.WALSize()
+	if lsn, err := l.Append(make([]byte, MaxRecordBytes-lsnSize+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized Append = LSN %d, %v; want ErrTooLarge", lsn, err)
+	}
+	if l.WALSize() != size || l.Broken() {
+		t.Fatalf("refused Append left WAL size %d (was %d), broken %v", l.WALSize(), size, l.Broken())
+	}
+	if lsn, err := l.Append([]byte("second")); err != nil || lsn != 2 {
+		t.Fatalf("Append after the refusal = LSN %d, %v; want 2", lsn, err)
+	}
+	l.Close()
+	l2, _, tail := mustOpen(t, dir)
+	defer l2.Close()
+	var got []string
+	for _, r := range tail {
+		got = append(got, string(r.Data))
+	}
+	if fmt.Sprint(got) != "[first second]" {
+		t.Fatalf("recovered %q, want [first second]", got)
+	}
+}
+
+// TestCheckpointPastMaxRecordBytes checkpoints a snapshot larger than
+// any WAL record may be. The snapshot frame is bounded by its file, so
+// the next Open must load it, not fail on its length prefix.
+func TestCheckpointPastMaxRecordBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes and reads back a 64 MiB snapshot")
+	}
+	dir := t.TempDir()
+	l, _, _ := mustOpen(t, dir)
+	if _, err := l.Append([]byte("covered")); err != nil {
+		t.Fatal(err)
+	}
+	snap := make([]byte, MaxRecordBytes+1)
+	snap[0], snap[len(snap)-1] = 'a', 'z'
+	if err := l.Checkpoint(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, got, tail, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after a %d-byte checkpoint: %v", len(snap), err)
+	}
+	defer l2.Close()
+	if !bytes.Equal(got, snap) {
+		t.Fatalf("recovered a %d-byte snapshot, want the %d bytes checkpointed", len(got), len(snap))
+	}
+	if len(tail) != 1 || tail[0].LSN != 2 || string(tail[0].Data) != "tail" {
+		t.Fatalf("recovered tail %v, want LSN 2 \"tail\"", tail)
 	}
 }

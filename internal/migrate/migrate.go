@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -213,11 +214,15 @@ type Job struct {
 	// Run's callers can classify it with errors.Is (injected fault,
 	// degraded store). A job recovered from the journal has only the
 	// message.
-	failErr  error
-	done     []bool // per-shard commit checkpoint
-	doneN    int
-	counts   Counts
-	stranded []Stranded
+	failErr error
+	done    []bool // per-shard commit checkpoint
+	doneN   int
+	counts  Counts
+	// stranded holds the stranded instances as one exact-size list per
+	// folded shard, in fold order; flatStrandedLocked joins them. A
+	// fold copies its shard's list once instead of regrowing one
+	// job-wide slice.
+	stranded [][]Stranded
 	// sorted caches the sort of stranded, invalidated when a shard
 	// folds in — status polls re-read the report without re-sorting.
 	sorted  []Stranded
@@ -264,8 +269,25 @@ func (j *Job) State() JobState {
 		Err:           j.errMsg,
 		Done:          append([]bool(nil), j.done...),
 		Counts:        j.counts,
-		Stranded:      append([]Stranded(nil), j.stranded...),
+		Stranded:      j.flatStrandedLocked(),
 	}
+}
+
+// flatStrandedLocked returns a new slice of every folded shard's
+// stranded instances in fold order, nil when there are none.
+func (j *Job) flatStrandedLocked() []Stranded {
+	n := 0
+	for _, l := range j.stranded {
+		n += len(l)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Stranded, 0, n)
+	for _, l := range j.stranded {
+		out = append(out, l...)
+	}
+	return out
 }
 
 // RestoreJob reconstructs a job from a persisted state. The restored
@@ -283,7 +305,9 @@ func RestoreJob(st JobState) *Job {
 		errMsg:        st.Err,
 		done:          append([]bool(nil), st.Done...),
 		counts:        st.Counts,
-		stranded:      append([]Stranded(nil), st.Stranded...),
+	}
+	if len(st.Stranded) > 0 {
+		j.stranded = [][]Stranded{slices.Clone(st.Stranded)}
 	}
 	for _, d := range j.done {
 		if d {
@@ -330,7 +354,7 @@ func (j *Job) Stranded() []Stranded {
 
 func (j *Job) strandedLocked() []Stranded {
 	if j.sorted == nil {
-		j.sorted = append([]Stranded(nil), j.stranded...)
+		j.sorted = j.flatStrandedLocked()
 		sort.Slice(j.sorted, func(a, b int) bool {
 			if j.sorted[a].Party != j.sorted[b].Party {
 				return j.sorted[a].Party < j.sorted[b].Party
@@ -431,7 +455,9 @@ func (j *Job) FoldShard(shard int, c Counts, stranded []Stranded) {
 	j.done[shard] = true
 	j.doneN++
 	j.counts.add(c)
-	j.stranded = append(j.stranded, stranded...)
+	if len(stranded) > 0 {
+		j.stranded = append(j.stranded, slices.Clone(stranded))
+	}
 	j.sorted = nil
 	if j.doneN == len(j.done) {
 		// Every shard committed: the job is Done no matter how the

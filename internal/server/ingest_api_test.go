@@ -114,6 +114,35 @@ func TestAddInstancesValidation(t *testing.T) {
 	}
 }
 
+// checkSampleCap sends a sample past one cap, with explicit instances
+// in the same request: it must answer 400 invalid_argument and record
+// nothing. A sample at both caps is then recorded.
+func checkSampleCap(t *testing.T, over SampleJSON) {
+	t.Helper()
+	c, _ := testClient(t)
+	id := paperSetup(t, c)
+	req := InstancesRequest{Instances: []InstanceJSON{{ID: "ok", Trace: []string{"B#A#orderOp"}}}, Sample: &over}
+	if _, err := c.do(ctx, "POST", "/v2/choreographies/"+id+"/parties/B/instances", nil, req, nil); !ErrIs(err, CodeInvalidArgument) {
+		t.Fatalf("sample %+v = %v, want %s", over, err, CodeInvalidArgument)
+	}
+	if st, err := c.Stats(ctx); err != nil || st.TrackedInstances != 0 {
+		t.Fatalf("refused sample recorded %d instances (%v)", st.TrackedInstances, err)
+	}
+	if n, err := c.SampleInstances(ctx, id, paperrepro.Buyer, 1, maxSampleN, maxSampleLen); err != nil || n != maxSampleN {
+		t.Fatalf("sample at the caps = %d, %v; want %d recorded", n, err, maxSampleN)
+	}
+}
+
+// TestSampleNCap pins the cap on a sample's instance count.
+func TestSampleNCap(t *testing.T) {
+	checkSampleCap(t, SampleJSON{Seed: 1, N: maxSampleN + 1, MaxLen: 4})
+}
+
+// TestSampleMaxLenCap pins the cap on a sample's trace length.
+func TestSampleMaxLenCap(t *testing.T) {
+	checkSampleCap(t, SampleJSON{Seed: 1, N: 3, MaxLen: maxSampleLen + 1})
+}
+
 // TestIngestEventsBackpressure pins the 429 contract end to end: a
 // batch over a lane's queue bound answers resource_exhausted with a
 // positive retryAfter detail the client helper can parse.

@@ -325,6 +325,14 @@ func (s *Server) applyOps(ctx context.Context, evo *store.Evolution, req ApplyRe
 // the number recorded. The explicit ones go first, so a request they
 // make invalid records no sample either.
 func (s *Server) addInstances(ctx context.Context, id, party string, req InstancesRequest) (int, error) {
+	if sm := req.Sample; sm != nil {
+		if sm.N > maxSampleN {
+			return 0, badRequest("sample of %d instances exceeds the maximum of %d", sm.N, maxSampleN)
+		}
+		if sm.MaxLen > maxSampleLen {
+			return 0, badRequest("sample maxLen %d exceeds the maximum of %d", sm.MaxLen, maxSampleLen)
+		}
+	}
 	added := 0
 	if len(req.Instances) > 0 {
 		var insts []instance.Instance

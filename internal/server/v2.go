@@ -491,6 +491,15 @@ func (s *Server) v2Instances(r *http.Request) (reply, error) {
 // docs/api.md — change both together.
 const maxIngestBatch = 1024
 
+// maxSampleN and maxSampleLen bound a sampled instances request
+// ({"sample":{"n","maxLen"}}): a sample is journaled as one record,
+// and these keep that record far below journal.MaxRecordBytes.
+// Documented in docs/api.md — change both together.
+const (
+	maxSampleN   = 10000
+	maxSampleLen = 100
+)
+
 // v2IngestEvents streams one batch of observed instance events into
 // the choreography. The batch is durably journaled and applied before
 // the response; a full ingestion lane answers 429

@@ -315,7 +315,7 @@ func (s *Store) applyIngest(e *entry, shard int, evs []ingest.Event) error {
 			rec.Tags = append(rec.Tags, tagRef{Party: p.party, Ref: p.rec.ref})
 		}
 	}
-	if err := s.appendWAL(&walRecord{Events: &rec}); err != nil {
+	if err := s.appendEventsWAL(&rec); err != nil {
 		return err
 	}
 

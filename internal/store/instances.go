@@ -424,6 +424,11 @@ func (s *Store) sweepShard(ctx context.Context, e *entry, snap *Snapshot, job *m
 			}
 		}
 		if len(tags.Runs) > 0 {
+			// Allocated on the first party with tags, so a shard with
+			// nothing to advance allocates nothing here.
+			if rec.Tags == nil {
+				rec.Tags = make([]tagRuns, 0, len(snap.order))
+			}
 			rec.Tags = append(rec.Tags, tags)
 		}
 	}
@@ -431,7 +436,7 @@ func (s *Store) sweepShard(ctx context.Context, e *entry, snap *Snapshot, job *m
 		return migrate.Counts{}, nil, err
 	}
 	rec.Counts, rec.Stranded = t.Counts, t.Stranded
-	if err := s.appendWAL(&walRecord{MigShard: &rec}); err != nil {
+	if err := s.appendMigShardWAL(&rec); err != nil {
 		return migrate.Counts{}, nil, err
 	}
 	if err := rec.advanceTags(sh); err != nil {

@@ -503,9 +503,11 @@ func TestMigrateAllAllocsFlat(t *testing.T) {
 	}
 	small, large := allocs(667), allocs(3334)
 	t.Logf("allocs per sweep: %.0f at 2k instances, %.0f at 10k", small, large)
-	// The slack absorbs sync.Pool refills after a GC (the JSON encoder's
-	// state); any per-instance allocation adds thousands.
-	if large > small*1.05+8 {
+	// The slack absorbs refills of the pooled encode buffers (encBufs,
+	// 2 allocations each): a collection empties the pool, and a worker
+	// that moves to another P misses the buffer the last one cached.
+	// Any per-instance allocation adds thousands.
+	if large > small+8 {
 		t.Fatalf("allocs per sweep grew with the population: %.0f at 2k instances, %.0f at 10k", small, large)
 	}
 }

@@ -365,7 +365,8 @@ func (rec *recMigShard) advanceTags(sh *instShard) error {
 
 // appendWAL journals one record; a nil journal appends nothing.
 // Callers hold persistMu.RLock plus the inner lock that orders the
-// mutation (see the package comment above).
+// mutation (see the package comment above). The migShard and events
+// records have hand-written encoders instead (walenc.go).
 func (s *Store) appendWAL(rec *walRecord) error {
 	if s.jnl == nil {
 		return nil
@@ -374,6 +375,13 @@ func (s *Store) appendWAL(rec *walRecord) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding journal record: %w", err)
 	}
+	return s.appendJournal(data)
+}
+
+// appendJournal appends one encoded record to the journal. A record
+// past journal.MaxRecordBytes fails with journal.ErrTooLarge, and
+// nothing is written.
+func (s *Store) appendJournal(data []byte) error {
 	if _, err := s.jnl.Append(data); err != nil {
 		return s.checkAppendErr(fmt.Errorf("store: %w", err))
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/afsa"
@@ -944,4 +945,58 @@ func TestInstanceRecordingOrderSurvives(t *testing.T) {
 		t.Fatal("instance shard layout changed across recovery")
 	}
 	s.Close()
+}
+
+// TestOversizedRecordAppliesNothing records an instance whose journal
+// record exceeds journal.MaxRecordBytes. Recovery would discard that
+// frame as a torn tail, and every record after it, so the recording
+// must fail with journal.ErrTooLarge, apply nothing and leave the store
+// writable, and a later acknowledged mutation must survive a reopen.
+// SampleInstances(ctx, id, "buyer", 1, 700000, 20) builds such a record
+// on the paper choreography; one trace of a repeated 1 KiB label builds
+// it without 700,000 instances in memory.
+func TestOversizedRecordAppliesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes a 64 MiB journal record")
+	}
+	dir := t.TempDir()
+	s, err := Open(WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "procurement"
+	if err := s.Create(ctx, id, paperSyncOps); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutParties(ctx, id, []*bpel.Process{paperrepro.BuyerProcess()}, nil); err != nil {
+		t.Fatal(err)
+	}
+	long := label.Label(strings.Repeat("x", 1<<10))
+	trace := make([]label.Label, journal.MaxRecordBytes/len(long)+1)
+	for i := range trace {
+		trace[i] = long
+	}
+	err = s.AddInstances(ctx, id, paperrepro.Buyer, []instance.Instance{{ID: "huge", Trace: trace}})
+	if !errors.Is(err, journal.ErrTooLarge) {
+		t.Fatalf("AddInstances of a record past MaxRecordBytes: err = %v, want journal.ErrTooLarge", err)
+	}
+	if insts, _ := s.Instances(ctx, id, paperrepro.Buyer); len(insts) != 0 || s.Degraded() != nil {
+		t.Fatalf("refused recording left %d instances, degraded: %v", len(insts), s.Degraded())
+	}
+	if err := s.Create(ctx, "later", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := s2.Snapshot(ctx, "later"); err != nil {
+		t.Fatalf("acknowledged Create lost on reopen: %v", err)
+	}
+	if insts, _ := s2.Instances(ctx, id, paperrepro.Buyer); len(insts) != 0 {
+		t.Fatalf("reopened store has %d instances, want 0", len(insts))
+	}
 }
