@@ -14,7 +14,7 @@ func TestScenarioCheckAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinned = 669
+	const pinned = 659
 	got := testing.AllocsPerRun(50, func() {
 		rep, err := c.Check()
 		if err != nil || !rep.Consistent() {

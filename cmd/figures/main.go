@@ -133,12 +133,10 @@ func main() {
 	fmt.Print(newBuyer)
 }
 
-func impactOn(rep *choreo.EvolutionReport, partner string) choreo.PartnerImpact {
-	for _, im := range rep.Impacts {
-		if im.Partner == partner {
-			return im
-		}
+func impactOn(rep *choreo.EvolutionReport, partner string) *choreo.PartnerImpact {
+	im, ok := rep.Impact(partner)
+	if !ok {
+		log.Fatalf("no impact on %s", partner)
 	}
-	log.Fatalf("no impact on %s", partner)
-	return choreo.PartnerImpact{}
+	return im
 }

@@ -14,8 +14,8 @@
 package choreography
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/afsa"
@@ -27,16 +27,12 @@ import (
 )
 
 // Party is one participant: its private process and the derived
-// public process with mapping table.
-type Party struct {
-	Name    string
-	Private *bpel.Process
-	Public  *afsa.Automaton
-	Table   mapping.Table
-}
+// public process with mapping table and alphabet.
+type Party = core.Party
 
 // Choreography is a set of parties exchanging messages through their
-// public processes.
+// public processes. It is the core.Parties the library's evolution
+// analysis reads.
 type Choreography struct {
 	reg     *wsdl.Registry
 	parties map[string]*Party
@@ -65,7 +61,8 @@ func (c *Choreography) AddParty(p *bpel.Process) error {
 	if err != nil {
 		return err
 	}
-	c.parties[p.Owner] = &Party{Name: p.Owner, Private: p.Clone(), Public: res.Automaton, Table: res.Table}
+	party := core.NewParty(p.Clone(), res)
+	c.parties[p.Owner] = &party
 	c.order = append(c.order, p.Owner)
 	return nil
 }
@@ -91,33 +88,16 @@ func (c *Choreography) View(of, forParty string) (*afsa.Automaton, error) {
 	return p.Public.View(forParty), nil
 }
 
-// InteractingPairs returns the party pairs that exchange at least one
-// message, in deterministic order.
-func (c *Choreography) InteractingPairs() [][2]string {
-	var out [][2]string
-	for i := 0; i < len(c.order); i++ {
-		for j := i + 1; j < len(c.order); j++ {
-			a, b := c.order[i], c.order[j]
-			if c.interacts(a, b) {
-				out = append(out, [2]string{a, b})
-			}
-		}
-	}
-	return out
+// BilateralView returns τ_forParty(p.Public), computed afresh on every
+// call.
+func (c *Choreography) BilateralView(p *Party, forParty string) *afsa.Automaton {
+	return p.Public.View(forParty)
 }
 
-func (c *Choreography) interacts(a, b string) bool {
-	for l := range c.parties[a].Public.Alphabet() {
-		if l.Between(a, b) {
-			return true
-		}
-	}
-	for l := range c.parties[b].Public.Alphabet() {
-		if l.Between(a, b) {
-			return true
-		}
-	}
-	return false
+// InteractingPairs returns the party pairs that exchange at least one
+// message, in registration order.
+func (c *Choreography) InteractingPairs() [][2]string {
+	return core.InteractingPairs(c)
 }
 
 // PairConsistent checks bilateral consistency of two parties: the
@@ -185,26 +165,8 @@ func (c *Choreography) Check() (*ConsistencyReport, error) {
 // EvolutionReport is the outcome of analyzing one private-process
 // change (paper Fig. 4).
 type EvolutionReport struct {
-	Party      string
-	Op         change.Operation
-	NewPrivate *bpel.Process
-	OldPublic  *afsa.Automaton
-	NewPublic  *afsa.Automaton
-	NewTable   mapping.Table
-	// PublicChanged reports whether the public process changed at all.
-	PublicChanged bool
-	Impacts       []core.PartnerImpact
-}
-
-// NeedsPropagation reports whether any partner requires propagation
-// (some impact is variant).
-func (r *EvolutionReport) NeedsPropagation() bool {
-	for _, im := range r.Impacts {
-		if im.ViewChanged && im.Classification.Scope == core.ScopeVariant {
-			return true
-		}
-	}
-	return false
+	core.Evolution
+	Op change.Operation
 }
 
 // Evolve analyzes the application of op to party's private process
@@ -225,51 +187,12 @@ func (c *Choreography) Evolve(party string, op change.Operation) (*EvolutionRepo
 	if err != nil {
 		return nil, fmt.Errorf("choreography: deriving changed public process: %w", err)
 	}
-	report := &EvolutionReport{
-		Party:      party,
-		Op:         op,
-		NewPrivate: newPrivate,
-		OldPublic:  originator.Public,
-		NewPublic:  res.Automaton,
-		NewTable:   res.Table,
+	cand := core.NewParty(newPrivate, res)
+	evo, err := core.Evolve(context.TODO(), c, &cand, c.reg)
+	if err != nil {
+		return nil, err
 	}
-	report.PublicChanged = !afsa.Equivalent(originator.Public, res.Automaton)
-	if !report.PublicChanged {
-		return report, nil
-	}
-
-	for _, partnerName := range c.partnersOf(party) {
-		partner := c.parties[partnerName]
-		impact, err := core.AnalyzeImpact(party, originator.Public.View(partnerName), res.Automaton.View(partnerName),
-			core.Partner{Name: partnerName, Public: partner.Public, Table: partner.Table, Alphabet: partner.Public.Alphabet(), Private: partner.Private},
-			func() *afsa.Automaton { return partner.Public.View(party) }, c.reg)
-		if err != nil {
-			return nil, err
-		}
-		report.Impacts = append(report.Impacts, impact)
-	}
-	return report, nil
-}
-
-// partnersOf returns the parties that exchange messages with party.
-func (c *Choreography) partnersOf(party string) []string {
-	seen := map[string]bool{}
-	p := c.parties[party]
-	for l := range p.Public.Alphabet() {
-		for _, other := range [2]string{l.Sender(), l.Receiver()} {
-			if other != party && other != "" {
-				seen[other] = true
-			}
-		}
-	}
-	var out []string
-	for name := range seen {
-		if _, registered := c.parties[name]; registered {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return &EvolutionReport{Evolution: evo, Op: op}, nil
 }
 
 // Commit applies an analyzed evolution to the originator party.
@@ -278,9 +201,7 @@ func (c *Choreography) Commit(report *EvolutionReport) error {
 	if !ok {
 		return fmt.Errorf("choreography: unknown party %q", report.Party)
 	}
-	p.Private = report.NewPrivate.Clone()
-	p.Public = report.NewPublic
-	p.Table = report.NewTable
+	*p = core.NewParty(report.NewPrivate.Clone(), &mapping.Result{Automaton: report.NewPublic, Table: report.NewTable})
 	return nil
 }
 
@@ -318,9 +239,7 @@ func (c *Choreography) CommitParty(process *bpel.Process) error {
 	if err != nil {
 		return err
 	}
-	p.Private = process.Clone()
-	p.Public = res.Automaton
-	p.Table = res.Table
+	*p = core.NewParty(process.Clone(), res)
 	return nil
 }
 

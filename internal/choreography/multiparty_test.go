@@ -1,6 +1,7 @@
 package choreography
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/afsa"
@@ -202,5 +203,54 @@ func TestStarChoreographyEvolution(t *testing.T) {
 	}
 	if affected != 1 {
 		t.Fatalf("affected partners = %d, want 1", affected)
+	}
+}
+
+// askLogistics is a buyer change that opens a conversation with a
+// party the buyer never talked to: a synchronous status request to
+// logistics right after the order.
+func askLogistics() change.Operation {
+	return change.Insert{
+		Path:  bpel.Path{"Sequence:buyer process", "Invoke:order"},
+		New:   &bpel.Invoke{BlockName: "ask L", Partner: paperrepro.Logistics, Op: "getStatusLOp", Sync: true},
+		After: true,
+	}
+}
+
+// TestEvolveReachesNewPartner pins the partner walk on a change that
+// starts talking to a party: the buyer's current public process names
+// only accounting, yet logistics must be classified, and the change is
+// variant for it (committing it leaves B ↔ L inconsistent).
+func TestEvolveReachesNewPartner(t *testing.T) {
+	c := New(paperrepro.Registry())
+	for _, p := range []*bpel.Process{paperrepro.BuyerProcess(), paperrepro.AccountingProcess(), paperrepro.LogisticsProcess()} {
+		if err := c.AddParty(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := c.Evolve(paperrepro.Buyer, askLogistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partners []string
+	for _, im := range rep.Impacts {
+		partners = append(partners, im.Partner)
+	}
+	if fmt.Sprint(partners) != "[A L]" {
+		t.Fatalf("impacts on %v, want [A L]", partners)
+	}
+	im := rep.Impacts[1]
+	if want := (core.Classification{Kind: core.KindBoth, Scope: core.ScopeVariant}); !im.ViewChanged || im.Classification != want {
+		t.Fatalf("logistics: viewChanged=%v %v/%v, want additive+subtractive/variant",
+			im.ViewChanged, im.Classification.Kind, im.Classification.Scope)
+	}
+	if !rep.NeedsPropagation() {
+		t.Fatal("a variant impact on logistics does not need propagation")
+	}
+	if err := c.Commit(rep); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.PairConsistent(paperrepro.Buyer, paperrepro.Logistics); err != nil || ok {
+		t.Fatalf("B ↔ L after the commit: consistent=%v, %v; want inconsistent", ok, err)
 	}
 }

@@ -207,7 +207,7 @@ func TestAnalyzeImpactDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partner := Partner{Name: "B", Public: res.Automaton, Table: res.Table, Alphabet: res.Automaton.Alphabet(), Private: private}
+	partner := NewParty(private, res)
 	partnerView := func() *afsa.Automaton { return res.Automaton.View("A") }
 	// mandatory makes A's choice between x and y internal: B has to
 	// accept both.
@@ -227,7 +227,7 @@ func TestAnalyzeImpactDispatch(t *testing.T) {
 		{"neutral", branching("old", x, y), mandatory(branching("new", x, y)), KindNeutral, nil},
 	}
 	for _, tc := range tests {
-		im, err := AnalyzeImpact("A", tc.oldView, tc.newView, partner, partnerView, nil)
+		im, err := AnalyzeImpact("A", tc.oldView, tc.newView, &partner, partnerView, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -2,26 +2,9 @@ package core
 
 import (
 	"repro/internal/afsa"
-	"repro/internal/bpel"
 	"repro/internal/label"
-	"repro/internal/mapping"
 	"repro/internal/wsdl"
 )
-
-// Partner is what the evolution analysis reads of one partner of the
-// change originator.
-type Partner struct {
-	Name string
-	// Public is the partner's current public process, Table the
-	// mapping table produced when it was derived and Alphabet the
-	// alphabet of Public.
-	Public   *afsa.Automaton
-	Table    mapping.Table
-	Alphabet label.Set
-	// Private is the partner's current private process, the target of
-	// the suggested adaptations.
-	Private *bpel.Process
-}
 
 // PartnerImpact describes the effect of a change on one partner.
 type PartnerImpact struct {
@@ -47,11 +30,12 @@ type PartnerImpact struct {
 // oldView/newView are the partner's views of it before and after the
 // change. When the view changed, the change is classified (Defs. 5/6)
 // against partnerView() — the partner's view of party, requested only
-// then — and a variant change is planned (Secs. 5.2/5.3 steps 1–3) and
-// turned into suggested adaptations of the partner's private process,
-// resolving operations through reg. A variant change that neither
-// adds nor removes sequences yields no plan.
-func AnalyzeImpact(party string, oldView, newView *afsa.Automaton, partner Partner, partnerView func() *afsa.Automaton, reg *wsdl.Registry) (PartnerImpact, error) {
+// then — and a variant change is planned (Secs. 5.2/5.3 steps 1–3)
+// against the partner's current public process and turned into
+// suggested adaptations of its private process, resolving operations
+// through reg. A variant change that neither adds nor removes
+// sequences yields no plan.
+func AnalyzeImpact(party string, oldView, newView *afsa.Automaton, partner *Party, partnerView func() *afsa.Automaton, reg *wsdl.Registry) (PartnerImpact, error) {
 	im := PartnerImpact{Partner: partner.Name, OldView: oldView, NewView: newView}
 	im.ViewChanged = !afsa.Equivalent(oldView, newView)
 	if !im.ViewChanged {

@@ -36,6 +36,7 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -117,6 +118,10 @@ type Result struct {
 	RawTable Table
 }
 
+// ErrInternal marks a derived automaton that fails its own invariants:
+// a defect of the derivation, not of the process.
+var ErrInternal = errors.New("mapping: internal error")
+
 // Derive generates the public process of p (Sec. 3.3). The registry
 // may be nil; synchronous invokes are then recognized by the Invoke's
 // Sync flag alone (which Validate checks against the registry when one
@@ -144,7 +149,7 @@ func Derive(p *bpel.Process, reg *wsdl.Registry) (*Result, error) {
 		b.a.SetFinal(exit, true)
 	}
 	if err := b.a.Validate(); err != nil {
-		return nil, fmt.Errorf("mapping: internal error: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrInternal, err)
 	}
 
 	minimized, members := b.a.MinimizeWithMap()

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
 	"reflect"
 	"testing"
 
 	"repro/internal/bpel"
+	"repro/internal/journal"
 	"repro/internal/paperrepro"
 )
 
@@ -56,6 +58,36 @@ func TestV2ErrorEnvelopeCodes(t *testing.T) {
 		t.Fatalf("ErrIs misclassified %v", err)
 	}
 
+	// 400 invalid_argument, nothing applied: processes that BPEL
+	// validation (two siblings named alike) or registry inference (an
+	// invoke without a partner) refuses, registered, updated, batched
+	// or evolved into.
+	if err := c.CreateChoreography(ctx, "malformed", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RegisterPartyXML(ctx, "malformed", `<process name="x" owner="X"><sequence name="s">`+
+		`<invoke name="a" partner="Y" operation="aOp"/></sequence></process>`); err != nil {
+		t.Fatal(err)
+	}
+	twin := `<invoke name="a" partner="Y" operation="aOp"/>`
+	orphan := `<invoke name="b" operation="zz"/>`
+	for _, body := range []string{twin + twin, orphan} {
+		_, err = c.RegisterPartyXML(ctx, "malformed", `<process name="z" owner="Z"><sequence name="s">`+body+`</sequence></process>`)
+		wantCode(t, err, 400, CodeInvalidArgument)
+	}
+	for _, xml := range []string{twin, orphan} {
+		_, err = c.EvolveOps(ctx, "malformed", "X", []OpJSON{{Kind: "insert", Path: "Sequence:s/Invoke:a", XML: xml, After: true}})
+		wantCode(t, err, 400, CodeInvalidArgument)
+	}
+	orphanX := &bpel.Process{Name: "x", Owner: "X", Body: &bpel.Invoke{BlockName: "b", Op: "zz"}}
+	_, err = c.UpdateParty(ctx, "malformed", orphanX, nil)
+	wantCode(t, err, 400, CodeInvalidArgument)
+	_, err = c.RegisterParties(ctx, "malformed", []*bpel.Process{orphanX}, nil)
+	wantCode(t, err, 400, CodeInvalidArgument)
+	if info, err := c.Choreography(ctx, "malformed"); err != nil || info.Version != 1 || len(info.Parties) != 1 {
+		t.Fatalf("after the refused requests: %+v, %v; want version 1 with X alone", info, err)
+	}
+
 	// 413 payload_too_large: a raw body one byte past the cap.
 	huge := append([]byte(`{"id":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)[:maxBodyBytes+1]
 	_, err = c.roundTrip(ctx, "POST", "/v2/choreographies", nil, "", huge, true, nil)
@@ -64,6 +96,16 @@ func TestV2ErrorEnvelopeCodes(t *testing.T) {
 	padded := append([]byte(`{"id":"padded"}`), bytes.Repeat([]byte(" "), maxBodyBytes)...)
 	_, err = c.roundTrip(ctx, "POST", "/v2/choreographies", nil, "", padded, true, nil)
 	wantCode(t, err, 413, CodePayloadTooLarge)
+}
+
+// TestEnvelopeJournalTooLarge pins the answer to a request whose
+// journal record would pass journal.MaxRecordBytes: the client's 413
+// payload_too_large, not a 500.
+func TestEnvelopeJournalTooLarge(t *testing.T) {
+	err := fmt.Errorf("store: %w", fmt.Errorf("%w: %d-byte payload", journal.ErrTooLarge, journal.MaxRecordBytes))
+	if status, env := envelope(err); status != http.StatusRequestEntityTooLarge || env.Code != CodePayloadTooLarge {
+		t.Fatalf("envelope(%v) = %d %q, want 413 %q", err, status, env.Code, CodePayloadTooLarge)
+	}
 }
 
 // TestV2StaleIfMatch pins the optimistic-concurrency contract: a

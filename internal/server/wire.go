@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/ingest"
+	"repro/internal/journal"
 	"repro/internal/store"
 )
 
@@ -221,7 +222,7 @@ const (
 	CodeAlreadyExists     = "already_exists"     // 409
 	CodeConflict          = "conflict"           // 409
 	CodeStaleVersion      = "stale_version"      // 412
-	CodePayloadTooLarge   = "payload_too_large"  // 413 (request body past maxBodyBytes)
+	CodePayloadTooLarge   = "payload_too_large"  // 413 (request body past maxBodyBytes, or a journal record past journal.MaxRecordBytes)
 	CodeResourceExhausted = "resource_exhausted" // 429 (backpressure; details carry retryAfter seconds)
 	CodeCancelled         = "cancelled"          // 503
 	CodeUnavailable       = "unavailable"        // 503 (degraded read-only store, or shutting down)
@@ -425,7 +426,7 @@ func envelope(err error) (int, ErrorEnvelope) {
 		status, env.Code = http.StatusTooManyRequests, CodeResourceExhausted
 	case errors.Is(err, errStale):
 		status, env.Code = http.StatusPreconditionFailed, CodeStaleVersion
-	case errors.Is(err, errTooLarge):
+	case errors.Is(err, errTooLarge), errors.Is(err, journal.ErrTooLarge):
 		status, env.Code = http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 	case errors.Is(err, store.ErrNotFound):
 		status, env.Code = http.StatusNotFound, CodeNotFound

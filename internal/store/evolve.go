@@ -2,9 +2,9 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"repro/internal/afsa"
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/core"
@@ -17,49 +17,21 @@ import (
 // Committing it succeeds only while the choreography has not advanced
 // (optimistic concurrency).
 type Evolution struct {
+	core.Evolution
 	// Choreography and BaseVersion pin the analysis to its snapshot.
 	Choreography string
 	BaseVersion  uint64
-	// Party is the change originator.
-	Party string
 	// Ops are the analyzed operations — one change transaction applied
 	// in order; classification, plans and suggestions describe the
 	// combined delta.
 	Ops []change.Operation
-	// NewPrivate/NewPublic/NewTable are the originator's state after
-	// the change; Registry the re-inferred operation registry.
-	NewPrivate *bpel.Process
-	OldPublic  *afsa.Automaton
-	NewPublic  *afsa.Automaton
-	NewTable   mapping.Table
-	Registry   *wsdl.Registry
-	// PublicChanged reports whether the public process changed at all.
-	PublicChanged bool
-	Impacts       []core.PartnerImpact
+	// Registry is the operation registry re-inferred with the changed
+	// process; the analysis derived and resolved suggestions through it.
+	Registry *wsdl.Registry
 	// PartnerVersions records each partner's party version at analysis
 	// time: the propagation plans and suggestion paths are only valid
 	// against these versions (ApplyOps checks them).
 	PartnerVersions map[string]uint64
-}
-
-// NeedsPropagation reports whether any partner requires propagation.
-func (evo *Evolution) NeedsPropagation() bool {
-	for _, im := range evo.Impacts {
-		if im.ViewChanged && im.Classification.Scope == core.ScopeVariant {
-			return true
-		}
-	}
-	return false
-}
-
-// Impact returns the impact on one partner.
-func (evo *Evolution) Impact(partner string) (*core.PartnerImpact, bool) {
-	for i := range evo.Impacts {
-		if evo.Impacts[i].Partner == partner {
-			return &evo.Impacts[i], true
-		}
-	}
-	return nil, false
 }
 
 // Evolve analyzes the application of ops — one change transaction,
@@ -98,53 +70,50 @@ func (s *Store) evolveSnapshot(ctx context.Context, snap *Snapshot, party string
 	// The changed process may introduce operations the current
 	// registry has never seen (e.g. the paper's cancelOp), so the
 	// registry is re-inferred with the candidate process substituted.
-	reg, err := InferRegistry(snap.privates(newPrivate), snap.syncOps)
+	reg, err := mapping.InferRegistry(snap.privatesWith([]*bpel.Process{newPrivate}), snap.syncOps)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	res, err := mapping.Derive(newPrivate, reg)
 	if err != nil {
-		return nil, fmt.Errorf("store: deriving changed public process: %w", err)
+		return nil, invalid(fmt.Errorf("deriving changed public process: %w", err))
 	}
-	// Deliberately NOT reinterned into snap.syms here: what-if
-	// analyses run on the candidate's private interner (operators
-	// align symbol spaces on the fly), so rejected candidates never
-	// grow the choreography's shared, append-only symbol space. The
-	// commit path moves the public onto the shared interner.
+	// The candidate's public is not reinterned into snap.syms: only the
+	// commit path moves a public onto the shared interner. The analysis
+	// still grows it, because the operators that align the candidate's
+	// symbols with a partner's intern the candidate's new labels there
+	// (one uncommitted cancel change adds A#B#cancelOp), so the shared
+	// interner holds every label any analysis has met.
+	cand := core.NewParty(newPrivate, res)
+	analysis, err := core.Evolve(ctx, partySet{snap: snap, st: s}, &cand, reg)
+	if err != nil {
+		return nil, err
+	}
 	evo := &Evolution{
+		Evolution:       analysis,
 		Choreography:    snap.ID,
 		BaseVersion:     snap.Version,
-		Party:           party,
 		Ops:             ops,
-		NewPrivate:      newPrivate,
-		OldPublic:       originator.Public,
-		NewPublic:       res.Automaton,
-		NewTable:        res.Table,
 		Registry:        reg,
-		PartnerVersions: map[string]uint64{},
+		PartnerVersions: make(map[string]uint64, len(analysis.Impacts)),
 	}
-	evo.PublicChanged = !afsa.Equivalent(originator.Public, res.Automaton)
-	if !evo.PublicChanged {
-		return evo, nil
-	}
-	for _, partnerName := range snap.PartnersOf(party) {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		partner := snap.parties[partnerName]
-		evo.PartnerVersions[partnerName] = partner.Version
-		impact, err := core.AnalyzeImpact(party, s.view(originator, partnerName), res.Automaton.View(partnerName),
-			core.Partner{Name: partnerName, Public: partner.Public, Table: partner.Table, Alphabet: partner.alphabet, Private: partner.Private},
-			func() *afsa.Automaton { return s.view(partner, party) }, snap.Registry)
-		if err != nil {
-			return nil, err
-		}
-		evo.Impacts = append(evo.Impacts, impact)
+	for _, im := range evo.Impacts {
+		evo.PartnerVersions[im.Partner] = snap.parties[im.Partner].Version
 	}
 	return evo, nil
+}
+
+// invalid marks err, a client's process that registry inference or
+// derivation refused, as ErrInvalid. A derivation that fails its own
+// invariants (mapping.ErrInternal) stays an internal error.
+func invalid(err error) error {
+	if errors.Is(err, mapping.ErrInternal) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrInvalid, err)
 }
 
 // CommitEvolution publishes an analyzed evolution. It fails with

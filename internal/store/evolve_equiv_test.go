@@ -24,7 +24,8 @@ type evolveCase struct {
 }
 
 // evolveCases returns the paper's three Accounting changes (Secs. 5.1–
-// 5.3) and every scripted episode of the scenario corpus.
+// 5.3), a buyer change that starts talking to logistics, and every
+// scripted episode of the scenario corpus.
 func evolveCases(t *testing.T) []evolveCase {
 	t.Helper()
 	paper := []*bpel.Process{paperrepro.BuyerProcess(), paperrepro.AccountingProcess(), paperrepro.LogisticsProcess()}
@@ -32,6 +33,7 @@ func evolveCases(t *testing.T) []evolveCase {
 		{"paper/order_2", paperSyncOps, paper, paperrepro.Accounting, []change.Operation{paperrepro.OrderTwoChange()}},
 		{"paper/cancel", paperSyncOps, paper, paperrepro.Accounting, []change.Operation{paperrepro.CancelChange()}},
 		{"paper/tracking-limit", paperSyncOps, paper, paperrepro.Accounting, []change.Operation{paperrepro.TrackingLimitChange()}},
+		{"paper/ask-logistics", paperSyncOps, paper, paperrepro.Buyer, []change.Operation{askLogistics()}},
 	}
 	for _, sc := range corpusScenarios(t) {
 		for _, ep := range sc.Episodes {
@@ -43,6 +45,60 @@ func evolveCases(t *testing.T) []evolveCase {
 		}
 	}
 	return cases
+}
+
+// askLogistics is a buyer change that opens a conversation with a
+// party the buyer never talked to: a synchronous status request to
+// logistics right after the order.
+func askLogistics() change.Operation {
+	return change.Insert{
+		Path:  bpel.Path{"Sequence:buyer process", "Invoke:order"},
+		New:   &bpel.Invoke{BlockName: "ask L", Partner: paperrepro.Logistics, Op: "getStatusLOp", Sync: true},
+		After: true,
+	}
+}
+
+// TestEvolveReachesNewPartner pins the store's partner walk on a change
+// that starts talking to a party: the buyer's current public process
+// names only accounting, yet logistics must be classified, and the
+// change is variant for it (committing it leaves B ↔ L inconsistent).
+func TestEvolveReachesNewPartner(t *testing.T) {
+	s, id := paperStore(t)
+	evo, err := s.Evolve(ctx, id, paperrepro.Buyer, askLogistics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partners []string
+	for _, im := range evo.Impacts {
+		partners = append(partners, im.Partner)
+	}
+	if fmt.Sprint(partners) != "[A L]" {
+		t.Fatalf("impacts on %v, want [A L]", partners)
+	}
+	im := evo.Impacts[1]
+	if want := (core.Classification{Kind: core.KindBoth, Scope: core.ScopeVariant}); !im.ViewChanged || im.Classification != want {
+		t.Fatalf("logistics: viewChanged=%v %v/%v, want additive+subtractive/variant",
+			im.ViewChanged, im.Classification.Kind, im.Classification.Scope)
+	}
+	if !evo.NeedsPropagation() {
+		t.Fatal("a variant impact on logistics does not need propagation")
+	}
+	if evo.PartnerVersions[paperrepro.Logistics] != 1 {
+		t.Fatalf("PartnerVersions = %v, want logistics at 1", evo.PartnerVersions)
+	}
+	if _, err := s.CommitEvolution(ctx, evo); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Check(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Pairs {
+		if p.A == paperrepro.Buyer && p.B == paperrepro.Logistics && !p.Consistent {
+			return
+		}
+	}
+	t.Fatalf("check after the commit: %+v, want B ↔ L inconsistent", rep.Pairs)
 }
 
 // impactDigest renders what both analyses must agree on for one
@@ -67,12 +123,16 @@ func impactDigest(partner string, viewChanged bool, cls core.Classification, pla
 }
 
 // TestEvolveMatchesChoreography runs every case through Store.Evolve
-// and choreography.Evolve and requires the same analysis. Both derive
-// against the registry the store infers for the candidate: the
-// choreography is built on it, since with a fixed registry it would
-// reject operations the candidate introduces. The store must also
-// look up exactly one memoized view per partner, plus the partner's
-// view of the originator for every changed view.
+// and choreography.Evolve and requires the same analysis. Both run
+// core.Evolve; what differs is what they hand it. The store serves
+// memoized views of parties on the choreography's shared interner and
+// re-infers the registry with the candidate; the choreography computes
+// every view afresh on per-party interners and keeps the registry it
+// was built on. That registry is the one the store infers for the
+// candidate, since a fixed registry would reject operations the
+// candidate introduces. The store must also look up exactly one
+// memoized view per partner, plus the partner's view of the originator
+// for every changed view.
 func TestEvolveMatchesChoreography(t *testing.T) {
 	for _, tc := range evolveCases(t) {
 		t.Run(tc.name, func(t *testing.T) {

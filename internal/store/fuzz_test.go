@@ -76,10 +76,12 @@ func fuzzOpFromBytes(data []byte, pos *int, p *bpel.Process, partners []string, 
 }
 
 // FuzzEvolveOps throws random op transactions at Evolve across the
-// whole scenario corpus. Two invariants: Evolve never panics (malformed
-// transactions fail with an error), and for every transaction that
-// applies cleanly the analysis is path-independent — evolving through
-// the op sequence classifies exactly like evolving through a single
+// whole scenario corpus. Three invariants: Evolve never panics
+// (malformed transactions fail with an error); every registered party
+// that exchanges a message with the originator before or after a
+// change has an impact; and for every transaction that applies cleanly
+// the analysis is path-independent — evolving through the op sequence
+// classifies exactly like evolving through a single
 // replace-the-whole-process op with the same final private.
 func FuzzEvolveOps(f *testing.F) {
 	scs, err := scenario.All()
@@ -104,6 +106,9 @@ func FuzzEvolveOps(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 7, 0, 3})
 	f.Add([]byte{2, 3, 4, 5, 5, 9, 6, 2})
 	f.Add([]byte{7, 200, 150, 3, 17, 4, 80, 1, 1})
+	// supply-chain's shipper S starts invoking the bank K, which its
+	// current public process never names: K must still be classified.
+	f.Add([]byte("00$1"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -159,6 +164,15 @@ func FuzzEvolveOps(f *testing.F) {
 			return
 		}
 
+		for _, pub := range []*afsa.Automaton{evo.OldPublic, evo.NewPublic} {
+			for l := range pub.Alphabet() {
+				for _, other := range [2]string{l.Sender(), l.Receiver()} {
+					if _, ok := evo.Impact(other); evo.PublicChanged && !ok && other != party && sc.Party(other) != nil {
+						t.Fatalf("%s/%s: %s exchanges messages with the originator but has no impact", sc.Name, party, other)
+					}
+				}
+			}
+		}
 		if evo.PublicChanged != ref.PublicChanged {
 			t.Fatalf("%s/%s: PublicChanged %v via ops, %v via replaceProcess", sc.Name, party, evo.PublicChanged, ref.PublicChanged)
 		}

@@ -623,7 +623,7 @@ func (s *Store) restoreChoreo(pc persistedChoreo) error {
 		}
 		procs = append(procs, p)
 	}
-	reg, err := InferRegistry(procs, pc.SyncOps)
+	reg, err := mapping.InferRegistry(procs, pc.SyncOps)
 	if err != nil {
 		return fmt.Errorf("store: restoring %s: %w", pc.ID, err)
 	}

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/afsa"
 	"repro/internal/bpel"
+	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/label"
 	"repro/internal/mapping"
@@ -13,23 +13,16 @@ import (
 )
 
 // PartyState is the immutable state of one party at one version: its
-// private process, the derived public process and mapping table. A
-// PartyState is shared by every snapshot taken while the party is
-// unchanged, so the memoized bilateral views survive evolutions of
-// *other* parties.
+// private process, the derived public process with mapping table and
+// alphabet. A PartyState is shared by every snapshot taken while the
+// party is unchanged, so the memoized bilateral views survive
+// evolutions of *other* parties.
 type PartyState struct {
-	Name string
+	core.Party
 	// Version counts the commits that touched this party (starting at
 	// 1). It keys the consistency cache: results computed for an old
 	// version can never be confused with the current behavior.
 	Version uint64
-	Private *bpel.Process
-	Public  *afsa.Automaton
-	Table   mapping.Table
-
-	// alphabet of Public, precomputed: interaction queries
-	// (InteractingPairs, partner discovery) run on every check.
-	alphabet label.Set
 
 	// views memoizes Public.View(forParty). Guarded by viewMu; the
 	// automata themselves are immutable once published.
@@ -46,13 +39,9 @@ type PartyState struct {
 
 func newPartyState(p *bpel.Process, res *mapping.Result, version uint64) *PartyState {
 	return &PartyState{
-		Name:     p.Owner,
-		Version:  version,
-		Private:  p.Clone(),
-		Public:   res.Automaton,
-		Table:    res.Table,
-		alphabet: res.Automaton.Alphabet(),
-		views:    map[string]*afsa.Automaton{},
+		Party:   core.NewParty(p.Clone(), res),
+		Version: version,
+		views:   map[string]*afsa.Automaton{},
 	}
 }
 
@@ -140,15 +129,6 @@ func (s *Snapshot) Party(name string) (*PartyState, bool) {
 // NumParties returns the number of registered parties.
 func (s *Snapshot) NumParties() int { return len(s.parties) }
 
-// privates collects the current private processes (for registry
-// rebuilds), substituting replace for its owner when non-nil.
-func (s *Snapshot) privates(replace *bpel.Process) []*bpel.Process {
-	if replace == nil {
-		return s.privatesWith(nil)
-	}
-	return s.privatesWith([]*bpel.Process{replace})
-}
-
 // privatesWith collects the current private processes with every
 // process of repl substituted for its owner (new owners are appended
 // in repl order) — the combined process set a batch commit infers its
@@ -176,24 +156,8 @@ func (s *Snapshot) privatesWith(repl []*bpel.Process) []*bpel.Process {
 	return out
 }
 
-// interacts reports whether parties a and b exchange at least one
-// message.
-func (s *Snapshot) interacts(a, b string) bool {
-	for l := range s.parties[a].alphabet {
-		if l.Between(a, b) {
-			return true
-		}
-	}
-	for l := range s.parties[b].alphabet {
-		if l.Between(a, b) {
-			return true
-		}
-	}
-	return false
-}
-
 // InteractingPairs returns the party pairs that exchange at least one
-// message, in deterministic order (precomputed per snapshot).
+// message, in registration order (precomputed per snapshot).
 func (s *Snapshot) InteractingPairs() [][2]string {
 	return append([][2]string(nil), s.pairs...)
 }
@@ -201,15 +165,7 @@ func (s *Snapshot) InteractingPairs() [][2]string {
 // computePairs fills the pair cache; called once when the snapshot is
 // built, before publication.
 func (s *Snapshot) computePairs() {
-	s.pairs = nil
-	for i := 0; i < len(s.order); i++ {
-		for j := i + 1; j < len(s.order); j++ {
-			a, b := s.order[i], s.order[j]
-			if s.interacts(a, b) {
-				s.pairs = append(s.pairs, [2]string{a, b})
-			}
-		}
-	}
+	s.pairs = core.InteractingPairs(partySet{snap: s})
 }
 
 // PartnersOf returns the registered parties that exchange messages
@@ -219,22 +175,30 @@ func (s *Snapshot) PartnersOf(party string) []string {
 	if !ok {
 		return nil
 	}
-	seen := map[string]bool{}
-	for l := range ps.alphabet {
-		for _, other := range [2]string{l.Sender(), l.Receiver()} {
-			if other != party && other != "" {
-				if _, registered := s.parties[other]; registered {
-					seen[other] = true
-				}
-			}
-		}
+	return core.Partners(partySet{snap: s}, &ps.Party)
+}
+
+// partySet reads a snapshot as the core.Parties of the evolution
+// analysis. Its bilateral views come from each party version's memo and
+// count in st's view hits and misses; the pair and partner walks read
+// no view and leave st nil.
+type partySet struct {
+	snap *Snapshot
+	st   *Store
+}
+
+func (r partySet) Parties() []string { return r.snap.order }
+
+func (r partySet) Party(name string) (*core.Party, bool) {
+	ps, ok := r.snap.parties[name]
+	if !ok {
+		return nil, false
 	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return &ps.Party, true
+}
+
+func (r partySet) BilateralView(p *core.Party, forParty string) *afsa.Automaton {
+	return r.st.view(r.snap.parties[p.Name], forParty)
 }
 
 // clone returns a shallow copy of the snapshot sharing every party

@@ -563,9 +563,9 @@ func (s *Store) PutParties(ctx context.Context, id string, procs []*bpel.Process
 // under construction until the caller publishes it; the automata it
 // re-interns are the freshly derived publics, never cur's.
 func (s *Store) rebuildAll(ctx context.Context, cur *Snapshot, procs []*bpel.Process) (*Snapshot, error) {
-	reg, err := InferRegistry(cur.privatesWith(procs), cur.syncOps)
+	reg, err := mapping.InferRegistry(cur.privatesWith(procs), cur.syncOps)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
 	next := cur.clone()
 	next.Version = cur.Version + 1
@@ -576,7 +576,7 @@ func (s *Store) rebuildAll(ctx context.Context, cur *Snapshot, procs []*bpel.Pro
 		}
 		res, err := mapping.Derive(p, reg)
 		if err != nil {
-			return nil, fmt.Errorf("store: deriving %q: %w", p.Owner, err)
+			return nil, invalid(fmt.Errorf("deriving %q: %w", p.Owner, err))
 		}
 		// Move the freshly derived public onto the choreography's
 		// shared interner: views and pair products across parties then

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/instance"
 	"repro/internal/loadgen"
+	"repro/internal/mapping"
 	"repro/internal/migrate"
 	"repro/internal/runtime"
 	"repro/internal/server"
@@ -128,7 +129,7 @@ func NewChoreoClient(base string, httpClient *http.Client) *ChoreoClient {
 // operations) — the registry the service infers when parties register
 // by XML.
 func InferRegistry(procs []*Process, syncOps []string) (*Registry, error) {
-	return store.InferRegistry(procs, syncOps)
+	return mapping.InferRegistry(procs, syncOps)
 }
 
 // Choreography execution (the empirical substrate validating the
